@@ -22,21 +22,16 @@ from .fock import (
     inner_product,
     make_fock,
     operator_distance,
-    partial_trace,
     superpose,
     tensor,
     to_density,
     without_modes,
 )
 from .elements import (
-    ElementKind,
-    ElementSetting,
     ModeUnitary,
     apply,
     bs_5050,
-    compose,
     hwp,
-    pbs,
     phase_shifter,
 )
 from .measurement import (
@@ -69,7 +64,6 @@ from .analysis import (
     FringeScan,
     ObservableSpec,
     chsh,
-    chsh_angle_settings,
     component_populations,
     correlation,
     count_table,

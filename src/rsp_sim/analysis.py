@@ -83,16 +83,6 @@ def observable(kind: str) -> ObservableSpec:
     return ObservableSpec(kind, OBSERVABLE_MATRICES[kind])
 
 
-def chsh_angle_settings() -> dict[str, dict[str, float | str]]:
-    """Instrument angle table for the four CHSH settings."""
-    table: dict[str, dict[str, float | str]] = {}
-    for kind in ("mu_s", "pi_s", "mu_t", "pi_t"):
-        plus, minus = INSTRUMENT_ANGLES[kind]
-        knob = "gamma" if kind in _SINGLE_KINDS else "delta"
-        table[kind] = {"knob": knob, "plus": plus, "minus": minus}
-    return table
-
-
 @dataclass(frozen=True)
 class CountTable:
     """Joint outcome frequencies for a pair of two-outcome measurements."""
@@ -226,16 +216,10 @@ def white_noise_shared_state(n: int, p: float) -> DensityOperator:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise weight p={p} outside [0, 1]")
     _, shared = protocol.shared_state(n)
-    occs = _qubit_occupations(n)
-    v = np.array([shared.amps.get(occ, 0j) for occ in occs], dtype=complex)
+    basis = tuple(sorted(_qubit_occupations(n)))
+    v = np.array([shared.amps.get(occ, 0j) for occ in basis], dtype=complex)
     matrix = p * np.outer(v, v.conj()) + (1.0 - p) / 4.0 * np.eye(4)
-    basis = tuple(sorted(occs))
-    order = [sorted(occs).index(occ) for occ in occs]
-    permuted = np.zeros_like(matrix)
-    for i, oi in enumerate(order):
-        for j, oj in enumerate(order):
-            permuted[oi, oj] = matrix[i, j]
-    return DensityOperator(_QUBIT_MODES, basis, permuted)
+    return DensityOperator(_QUBIT_MODES, basis, matrix)
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ def render_csv(record: ResultRecord) -> str:
 
 
 def render_json(record: ResultRecord) -> str:
-    return json.dumps(record.as_dict(), sort_keys=True, indent=2) + "\n"
+    return json.dumps(record.as_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_record(record: ResultRecord, out: str | None, fmt: str) -> None:

@@ -38,14 +38,26 @@ def parse_angle(value: Any) -> float:
     """Evaluate a numeric literal or a tiny arithmetic expression over pi.
 
     Allowed syntax: numbers, ``pi``, unary minus, + - * /, parentheses.
-    Anything else (names, calls, powers) is rejected.
+    Anything else (names, calls, powers) is rejected, and so is a result
+    that is not finite (NaN, or a value that overflows).
     """
     if isinstance(value, bool):
         raise SchemaError(f"not a number: {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if not isinstance(value, str):
-        raise SchemaError(f"not a number or expression: {value!r}")
+    try:
+        if isinstance(value, (int, float)):
+            angle = float(value)
+        elif isinstance(value, str):
+            angle = _evaluate_angle(value)
+        else:
+            raise SchemaError(f"not a number or expression: {value!r}")
+    except OverflowError as exc:
+        raise SchemaError(f"angle {value!r} overflows a float") from exc
+    if not math.isfinite(angle):
+        raise SchemaError(f"angle {value!r} is not a finite number")
+    return angle
+
+
+def _evaluate_angle(value: str) -> float:
     try:
         tree = ast.parse(value.strip(), mode="eval")
     except SyntaxError as exc:

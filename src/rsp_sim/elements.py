@@ -6,7 +6,6 @@ Conventions, fixed once and verified by the test suite:
   * half-wave plate at angle g: Jones matrix [[cos2g, sin2g], [sin2g, -cos2g]].
   * phase shifter: multiplies the stated mode's creation operator by e^{i theta}
     (used on V modes; H is untouched).
-  * polarizing beamsplitter: transmits H, reflects V, as a mode relabeling.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -49,27 +47,6 @@ class ModeUnitary:
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "matrix", matrix)
-
-    def dagger(self) -> "ModeUnitary":
-        return ModeUnitary(self.modes, self.matrix.conj().T)
-
-
-def compose(after: ModeUnitary, before: ModeUnitary) -> ModeUnitary:
-    """Single unitary equivalent to applying ``before`` first, then ``after``."""
-    modes = tuple(sorted(set(after.modes) | set(before.modes)))
-    a = _embed(after, modes)
-    b = _embed(before, modes)
-    return ModeUnitary(modes, a @ b)
-
-
-def _embed(u: ModeUnitary, modes: tuple[Mode, ...]) -> np.ndarray:
-    out = np.eye(len(modes), dtype=complex)
-    pos = {m: i for i, m in enumerate(modes)}
-    idx = [pos[m] for m in u.modes]
-    for r, i in enumerate(idx):
-        for c, j in enumerate(idx):
-            out[i, j] = u.matrix[r, c]
-    return out
 
 
 def _require_hv_pair(pair: tuple[Mode, Mode], what: str) -> tuple[Mode, Mode]:
@@ -123,79 +100,6 @@ def hwp(angle: float, modes: tuple[Mode, Mode]) -> ModeUnitary:
 def phase_shifter(theta: float, mode: Mode) -> ModeUnitary:
     """Phase e^{i theta} on a single mode's creation operator."""
     return ModeUnitary((mode,), np.array([[np.exp(1j * theta)]], dtype=complex))
-
-
-def pbs(
-    inputs: tuple[Mode, Mode],
-    transmit: Mode,
-    reflect: Mode,
-) -> ModeUnitary:
-    """Polarizing beamsplitter: H transmits to ``transmit``, V reflects to
-    ``reflect``. Modeled as a permutation of creation operators."""
-    h, v = _require_hv_pair(inputs, "polarizing beamsplitter input")
-    if transmit.polarization is not Polarization.H:
-        raise ModeMismatchError("transmit port must be an H mode")
-    if reflect.polarization is not Polarization.V:
-        raise ModeMismatchError("reflect port must be a V mode")
-    modes = tuple(sorted({h, v, transmit, reflect}))
-    mat = np.eye(len(modes), dtype=complex)
-    pos = {m: i for i, m in enumerate(modes)}
-    for src, dst in ((h, transmit), (v, reflect)):
-        if src == dst:
-            continue
-        mat[:, pos[src]] = 0.0
-        mat[:, pos[dst]] = 0.0
-        mat[pos[dst], pos[src]] = 1.0
-        mat[pos[src], pos[dst]] = 1.0
-    return ModeUnitary(modes, mat)
-
-
-class ElementKind(Enum):
-    BS5050 = "bs5050"
-    PBS = "pbs"
-    HWP = "hwp"
-    PS = "ps"
-
-
-@dataclass(frozen=True)
-class ElementSetting:
-    """Declarative description of one optical element.
-
-    ``angle_or_phase`` is stored exactly as given (a HWP angle is physically
-    periodic in pi/2 and a phase in 2*pi, but no reduction is applied).
-    """
-
-    kind: ElementKind
-    angle_or_phase: float = 0.0
-    input_modes: tuple[Mode, ...] = ()
-    output_modes: tuple[Mode, ...] = ()
-
-    def to_unitary(self) -> ModeUnitary:
-        if self.kind is ElementKind.BS5050:
-            if len(self.input_modes) != 2 or len(self.output_modes) != 4:
-                raise ModeMismatchError("bs5050 takes 2 input and 4 output modes")
-            return bs_5050(
-                (self.input_modes[0], self.input_modes[1]),
-                (self.output_modes[0], self.output_modes[1]),
-                (self.output_modes[2], self.output_modes[3]),
-            )
-        if self.kind is ElementKind.PBS:
-            if len(self.input_modes) != 2 or len(self.output_modes) != 2:
-                raise ModeMismatchError("pbs takes 2 input and 2 output modes")
-            return pbs(
-                (self.input_modes[0], self.input_modes[1]),
-                self.output_modes[0],
-                self.output_modes[1],
-            )
-        if self.kind is ElementKind.HWP:
-            if len(self.input_modes) != 2:
-                raise ModeMismatchError("hwp takes an (H, V) mode pair")
-            return hwp(self.angle_or_phase, (self.input_modes[0], self.input_modes[1]))
-        if self.kind is ElementKind.PS:
-            if len(self.input_modes) != 1:
-                raise ModeMismatchError("ps takes a single mode")
-            return phase_shifter(self.angle_or_phase, self.input_modes[0])
-        raise ValueError(f"unknown element kind {self.kind!r}")
 
 
 def _compositions(n: int, k: int):

@@ -9,6 +9,7 @@ number.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Mapping
@@ -188,19 +189,23 @@ def superpose(terms: Iterable[tuple[complex, FockState]]) -> FockState:
     return FockState(all_modes, amps)
 
 
+def _relabel(state: FockState, target: tuple[Mode, ...]) -> list[tuple[tuple[int, ...], complex]]:
+    """The state's kets as occupation vectors over ``target``, a canonically
+    ordered superset of its modes; modes the state lacks hold 0 photons."""
+    slot = {m: i for i, m in enumerate(state.modes)}
+    picks = [slot.get(m) for m in target]
+    return [
+        (tuple(0 if i is None else occ[i] for i in picks), amp)
+        for occ, amp in state.amps.items()
+    ]
+
+
 def extend_modes(state: FockState, modes: Iterable[Mode]) -> FockState:
     """Embed a state into a larger mode set; new modes get occupation 0."""
     target = tuple(sorted(set(modes) | set(state.modes)))
     if target == state.modes:
         return state
-    positions = {m: i for i, m in enumerate(target)}
-    amps = {}
-    for occ, amp in state.amps.items():
-        full = [0] * len(target)
-        for m, c in zip(state.modes, occ):
-            full[positions[m]] = c
-        amps[tuple(full)] = amp
-    return FockState(target, amps)
+    return FockState(target, dict(_relabel(state, target)))
 
 
 def without_modes(state: FockState, drop: Iterable[Mode]) -> FockState:
@@ -224,16 +229,12 @@ def tensor(a: FockState, b: FockState) -> FockState:
     if set(a.modes) & set(b.modes):
         raise ModeMismatchError("tensor factors share modes")
     modes = tuple(sorted(a.modes + b.modes))
-    positions = {m: i for i, m in enumerate(modes)}
-    amps = {}
-    for occ_a, amp_a in a.amps.items():
-        for occ_b, amp_b in b.amps.items():
-            full = [0] * len(modes)
-            for m, c in zip(a.modes, occ_a):
-                full[positions[m]] = c
-            for m, c in zip(b.modes, occ_b):
-                full[positions[m]] = c
-            amps[tuple(full)] = amp_a * amp_b
+    left, right = _relabel(a, modes), _relabel(b, modes)
+    amps = {
+        tuple(map(operator.add, occ_a, occ_b)): amp_a * amp_b
+        for occ_a, amp_a in left
+        for occ_b, amp_b in right
+    }
     return FockState(modes, amps)
 
 
@@ -314,41 +315,6 @@ def to_density(state: FockState) -> DensityOperator:
     basis = tuple(sorted(state.amps))
     v = np.array([state.amps[occ] for occ in basis], dtype=complex)
     return DensityOperator(state.modes, basis, np.outer(v, v.conj()))
-
-
-def partial_trace(rho: DensityOperator, keep: Iterable[Mode]) -> DensityOperator:
-    """Reduced operator on ``keep``; the complement is traced out.
-
-    ``keep`` must be a nonempty strict subset of the operator's modes.
-    The trace is preserved exactly (no renormalization happens here).
-    """
-    keep_set = set(keep)
-    mode_set = set(rho.modes)
-    if not keep_set:
-        raise ModeMismatchError("keep set is empty")
-    if not keep_set < mode_set:
-        extra = keep_set - mode_set
-        if extra:
-            raise ModeMismatchError(f"unknown modes {sorted(m.label() for m in extra)}")
-        raise ModeMismatchError("keep set equals the full mode set; nothing to trace out")
-    keep_idx = [i for i, m in enumerate(rho.modes) if m in keep_set]
-    out_idx = [i for i, m in enumerate(rho.modes) if m not in keep_set]
-
-    def kept(occ):
-        return tuple(occ[i] for i in keep_idx)
-
-    def traced(occ):
-        return tuple(occ[i] for i in out_idx)
-
-    new_basis = tuple(sorted({kept(occ) for occ in rho.basis}))
-    index = {occ: k for k, occ in enumerate(new_basis)}
-    out = np.zeros((len(new_basis), len(new_basis)), dtype=complex)
-    for i, occ_i in enumerate(rho.basis):
-        for j, occ_j in enumerate(rho.basis):
-            if traced(occ_i) == traced(occ_j):
-                out[index[kept(occ_i)], index[kept(occ_j)]] += rho.matrix[i, j]
-    new_modes = tuple(m for m in rho.modes if m in keep_set)
-    return DensityOperator(new_modes, new_basis, out)
 
 
 def expectation(rho: DensityOperator, ket: FockState) -> float:

@@ -1,16 +1,18 @@
 """Heralding, projective measurement, and partial-polarizer conditioning.
 
 All detectors are ideal and photon-number resolving; conditioning on an
-outcome renormalizes the surviving state. A probability below
-``PROB_FLOOR`` is reported as structurally impossible rather than as a
-numerical zero.
+outcome renormalizes the surviving state. A herald pattern that no ket
+matches is structurally impossible; any matching pattern heralds, however
+small its probability. Alice's projection and her partial polarizer are one
+contraction over the split of the occupation basis into measured ("on") and
+remaining ("rest") modes; an outcome below ``PROB_FLOOR`` is zero probability.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -87,11 +89,9 @@ def herald(state: FockState, pattern: HeraldPattern) -> tuple[float, FockState]:
         for occ, amp in state.items()
         if all(sum(occ[i] for i in idx) == count for idx, count in groups)
     }
+    if not matching:
+        raise ImpossibleHeraldError("no ket of the state matches the herald pattern")
     probability = sum(abs(a) ** 2 for a in matching.values())
-    if probability < PROB_FLOOR:
-        raise ImpossibleHeraldError(
-            f"herald pattern has probability {probability:.3e} (< {PROB_FLOOR})"
-        )
     scale = 1.0 / math.sqrt(probability)
     conditional = FockState(state.modes, {occ: a * scale for occ, a in matching.items()})
     return probability, conditional
@@ -109,6 +109,35 @@ class Projector:
             raise ValueError(f"projector target has norm {n!r}, expected 1")
 
 
+def _split_on_rest(
+    modes: tuple[Mode, ...],
+    basis: Sequence[tuple[int, ...]],
+    support: tuple[Mode, ...],
+    on: Iterable[Mode] | None,
+    what: str,
+):
+    """Index ``basis`` over ``modes`` as on (x) rest.
+
+    The measured "on" modes default to the measurement's ``support``; they
+    must equal it as a set and be a strict subset of ``modes``. Returns each
+    ket's on-key, each ket's position in the sorted rest basis, that rest
+    basis, and the rest modes.
+    """
+    on_set = set(support if on is None else on)
+    if on_set != set(support):
+        raise ModeMismatchError(f"{what} support does not match the given modes")
+    if not on_set < set(modes):
+        raise ModeMismatchError(f"{what} must act on a strict subset of the state's modes")
+    on_idx = [i for i, m in enumerate(modes) if m in on_set]
+    rest_idx = [i for i, m in enumerate(modes) if m not in on_set]
+    on_keys = [tuple(occ[i] for i in on_idx) for occ in basis]
+    rest_keys = [tuple(occ[i] for i in rest_idx) for occ in basis]
+    rest_basis = tuple(sorted(set(rest_keys)))
+    index = {occ: k for k, occ in enumerate(rest_basis)}
+    rest_pos = np.array([index[occ] for occ in rest_keys], dtype=np.intp)
+    return on_keys, rest_pos, rest_basis, tuple(modes[i] for i in rest_idx)
+
+
 def project(
     state: FockState,
     proj: Projector,
@@ -120,30 +149,23 @@ def project(
     renormalized residual, living on the modes not projected.
     """
     target = proj.target
-    on_modes = tuple(sorted(target.modes if on is None else on))
-    if set(on_modes) != set(target.modes):
-        raise ModeMismatchError("projector support does not match the given modes")
-    if not set(on_modes) < set(state.modes):
-        raise ModeMismatchError("projection must act on a strict subset of the state's modes")
-    on_idx = [i for i, m in enumerate(state.modes) if m in set(on_modes)]
-    rest_idx = [i for i, m in enumerate(state.modes) if m not in set(on_modes)]
-    # target occupations keyed in the same (canonical) order as on_idx slices
-    residual: dict[tuple[int, ...], complex] = {}
-    for occ, amp in state.items():
-        key_on = tuple(occ[i] for i in on_idx)
-        phi_amp = target.amps.get(key_on)
-        if phi_amp is None:
-            continue
-        key_rest = tuple(occ[i] for i in rest_idx)
-        residual[key_rest] = residual.get(key_rest, 0j) + phi_amp.conjugate() * amp
-    probability = sum(abs(a) ** 2 for _, a in sorted(residual.items()))
+    kets = state.items()
+    on_keys, rest_pos, rest_basis, rest_modes = _split_on_rest(
+        state.modes, [occ for occ, _ in kets], target.modes, on, "projector"
+    )
+    # on keys list the on modes in canonical order, as the target's keys do
+    hit = [k for k, key in enumerate(on_keys) if key in target.amps]
+    terms = [target.amps[on_keys[k]].conjugate() * kets[k][1] for k in hit]
+    out = np.zeros(len(rest_basis), dtype=complex)
+    np.add.at(out, rest_pos[hit], np.array(terms, dtype=complex))
+    residual = out.tolist()
+    probability = sum(abs(a) ** 2 for a in residual)
     if probability < PROB_FLOOR:
         raise ZeroProbabilityError(
             f"projection probability {probability:.3e} (< {PROB_FLOOR})"
         )
     scale = 1.0 / math.sqrt(probability)
-    rest_modes = tuple(state.modes[i] for i in rest_idx)
-    remote = FockState(rest_modes, {occ: a * scale for occ, a in residual.items()})
+    remote = FockState(rest_modes, {occ: a * scale for occ, a in zip(rest_basis, residual)})
     return probability, remote
 
 
@@ -166,14 +188,6 @@ class PovmElement:
             raise ValueError(f"POVM element eigenvalues outside [0, 1]: {eig}")
         object.__setattr__(self, "operator", op)
         object.__setattr__(self, "basis", tuple(tuple(occ) for occ in self.basis))
-
-    def entry(self, row: tuple[int, ...], col: tuple[int, ...]) -> complex:
-        try:
-            i = self.basis.index(tuple(row))
-            j = self.basis.index(tuple(col))
-        except ValueError:
-            return 0j
-        return complex(self.operator[i, j])
 
 
 def partial_polarizer_povm(phi: Projector, p: float) -> PovmElement:
@@ -205,33 +219,30 @@ def condition_on_povm(
     code path.
     """
     rho = to_density(state_or_rho) if isinstance(state_or_rho, FockState) else state_or_rho
-    on_modes = tuple(sorted(element.modes if on is None else on))
-    if set(on_modes) != set(element.modes):
-        raise ModeMismatchError("POVM support does not match the given modes")
-    if not set(on_modes) < set(rho.modes):
-        raise ModeMismatchError("POVM must act on a strict subset of the modes")
-    on_idx = [i for i, m in enumerate(rho.modes) if m in set(on_modes)]
-    rest_idx = [i for i, m in enumerate(rho.modes) if m not in set(on_modes)]
-
-    def split(occ):
-        return tuple(occ[i] for i in on_idx), tuple(occ[i] for i in rest_idx)
-
-    rest_basis = tuple(sorted({split(occ)[1] for occ in rho.basis}))
-    index = {occ: k for k, occ in enumerate(rest_basis)}
+    on_keys, rest_pos, rest_basis, rest_modes = _split_on_rest(
+        rho.modes, rho.basis, element.modes, on, "POVM"
+    )
+    # rho_B[r, r'] = sum_{a, c} E[a, c] rho[(c, r), (a, r')]; on keys outside
+    # the element's basis index its zero padding row and column
+    d = len(element.basis)
+    padded = np.zeros((d + 1, d + 1), dtype=complex)
+    padded[:d, :d] = element.operator
+    index = {occ: k for k, occ in enumerate(element.basis)}
+    on_pos = np.array([index.get(key, -1) for key in on_keys], dtype=np.intp)
+    weights = padded[on_pos[None, :], on_pos[:, None]]
+    rows, cols = np.nonzero(weights)
+    w, r = weights[rows, cols], rho.matrix[rows, cols]
+    # the products are spelled out in real arithmetic: numpy's complex multiply
+    # loop may fuse them into FMA on SIMD hosts, which moves the last bit away
+    # from scalar products and from one host to another
+    terms = np.empty(len(rows), dtype=complex)
+    terms.real = w.real * r.real - w.imag * r.imag
+    terms.imag = w.real * r.imag + w.imag * r.real
     out = np.zeros((len(rest_basis), len(rest_basis)), dtype=complex)
-    # rho_B[r, r'] = sum_{a, c} E[a, c] rho[(c, r), (a, r')]
-    for i, occ_i in enumerate(rho.basis):
-        c_on, r_rest = split(occ_i)
-        for j, occ_j in enumerate(rho.basis):
-            a_on, rp_rest = split(occ_j)
-            w = element.entry(a_on, c_on)
-            if w == 0:
-                continue
-            out[index[r_rest], index[rp_rest]] += w * rho.matrix[i, j]
+    np.add.at(out, (rest_pos[rows], rest_pos[cols]), terms)
     probability = float(np.trace(out).real)
     if probability < PROB_FLOOR:
         raise ZeroProbabilityError(
             f"POVM outcome probability {probability:.3e} (< {PROB_FLOOR})"
         )
-    rest_modes = tuple(rho.modes[i] for i in rest_idx)
     return probability, DensityOperator(rest_modes, rest_basis, out / probability)

@@ -12,7 +12,6 @@ from rsp_sim import (
     DensityOperator,
     RspSettings,
     chsh,
-    chsh_angle_settings,
     closed_form_bob_ket,
     component_populations,
     correlation,
@@ -135,14 +134,6 @@ def test_chsh_with_white_noise_hits_published_value():
     s = chsh(white_noise_shared_state(2, 0.958))
     assert abs(s - 0.958 * 2.0 * SQRT2) < 1e-12
     assert abs(s - 2.71) <= 0.09
-
-
-def test_chsh_angle_settings_table():
-    table = chsh_angle_settings()
-    assert table["mu_s"] == {"knob": "gamma", "plus": math.pi / 16, "minus": 5 * math.pi / 16}
-    assert table["pi_s"] == {"knob": "gamma", "plus": 3 * math.pi / 16, "minus": 7 * math.pi / 16}
-    assert table["mu_t"] == {"knob": "delta", "plus": 0.0, "minus": math.pi / 4}
-    assert table["pi_t"] == {"knob": "delta", "plus": math.pi / 8, "minus": 3 * math.pi / 8}
 
 
 def test_count_route_equals_operator_route_on_random_states():

@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 import rsp_sim.cli as cli
 from rsp_sim import PRESETS, ZeroProbabilityError, list_presets
 
@@ -74,6 +76,24 @@ def test_invalid_gamma_exits_2_without_output(tmp_path, capsys, monkeypatch):
     assert err["error"]["code"] == 2
     assert err["error"]["kind"] == "schema"
     assert list(tmp_path.iterdir()) == [cfg]  # nothing written
+
+
+def test_nan_angle_exits_2_without_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "nan.json"
+    cfg.write_text('{"experiment": "populations", "gamma": NaN}')
+    assert cli.main(["run", str(cfg)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["code"] == 2
+    assert err["error"]["kind"] == "schema"
+    assert list(tmp_path.iterdir()) == [cfg]  # nothing written
+
+
+def test_json_rendering_refuses_nan():
+    record = cli.run_scenario(PRESETS["fig3_populations"])
+    record.summary["bad"] = math.nan
+    with pytest.raises(ValueError):
+        cli.render_json(record)
 
 
 def test_unknown_preset_exits_2(capsys):

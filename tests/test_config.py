@@ -29,7 +29,12 @@ def test_parse_angle_accepts_numbers():
 
 @pytest.mark.parametrize(
     "bad",
-    ["abc", "pi**2", "cos(1)", "__import__('os')", "1; 2", "e", "pi/0", True, None],
+    [
+        "abc", "pi**2", "cos(1)", "__import__('os')", "1; 2", "e", "pi/0", True, None,
+        math.nan, math.inf, "1e400", "-1e308*10",
+        pytest.param(10**400, id="int-overflow"),
+        pytest.param("1" + "0" * 400, id="int-literal-overflow"),
+    ],
 )
 def test_parse_angle_rejects_everything_else(bad):
     with pytest.raises(SchemaError):
@@ -88,6 +93,23 @@ def test_invalid_angle_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("experiment = chsh\ngamma = abc\n")
     with pytest.raises(SchemaError):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"experiment": "populations", "gamma": NaN}',
+        '{"experiment": "populations", "theta": 1e400}',
+        '{"experiment": "phase_fringe", "grid": {"start": -Infinity, "stop": 1, "points": 5}}',
+        '{"experiment": "phase_fringe", "grid": {"start": 0, "stop": "1e308*10", "points": 5}}',
+    ],
+    ids=["nan-gamma", "inf-theta", "minus-inf-grid-start", "overflowing-grid-stop"],
+)
+def test_non_finite_angles_rejected(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match="finite"):
         load_config(path)
 
 

@@ -14,9 +14,10 @@ from rsp_sim import (
     FockState,
     Mode,
     ModeMismatchError,
+    PovmElement,
+    condition_on_povm,
     inner_product,
     make_fock,
-    partial_trace,
     superpose,
     tensor,
     to_density,
@@ -126,9 +127,21 @@ def test_to_density_unbalanced_real_coefficients():
     assert np.allclose(rho.matrix, expected, atol=1e-12)
 
 
+def _trace_out(rho, traced):
+    # Tr_traced(rho): condition on the identity element over every occupation
+    # the traced modes take in rho's basis
+    modes = tuple(sorted(traced))
+    idx = [rho.modes.index(m) for m in modes if m in rho.modes]
+    basis = sorted({tuple(occ[i] for i in idx) for occ in rho.basis})
+    identity = PovmElement(modes, basis, np.eye(len(basis)), 1.0)
+    probability, reduced = condition_on_povm(rho, identity)
+    assert abs(probability - rho.trace()) < 1e-12
+    return reduced
+
+
 def test_partial_trace_of_shared_state_bob_side():
     rho = to_density(reference_shared_ket(2))
-    bob = partial_trace(rho, {BOB_H, BOB_V})
+    bob = _trace_out(rho, {ALICE_H, ALICE_V})
     assert bob.modes == (BOB_H, BOB_V)
     assert abs(bob.trace() - 1.0) < 1e-12
     assert abs(bob.entry((2, 1), (2, 1)) - 0.5) < 1e-12
@@ -141,14 +154,14 @@ def test_partial_trace_separable_state():
         make_fock([(ALICE_H, 1)]),
         make_fock([(BOB_H, 2), (BOB_V, 1)]),
     )
-    reduced = partial_trace(to_density(product), {BOB_H, BOB_V})
+    reduced = _trace_out(to_density(product), {ALICE_H})
     assert reduced.basis == ((2, 1),)
     assert np.allclose(reduced.matrix, [[1.0]])
 
 
 def test_partial_trace_of_shared_state_alice_side():
     rho = to_density(reference_shared_ket(2))
-    alice = partial_trace(rho, {ALICE_H, ALICE_V})
+    alice = _trace_out(rho, {BOB_H, BOB_V})
     eig = np.sort(alice.eigenvalues())
     assert np.allclose(eig, [0.5, 0.5], atol=1e-12)
 
@@ -156,15 +169,16 @@ def test_partial_trace_of_shared_state_alice_side():
 def test_partial_trace_rejects_bad_keep_sets():
     rho = to_density(reference_shared_ket(2))
     with pytest.raises(ModeMismatchError):
-        partial_trace(rho, set())
+        _trace_out(rho, set(rho.modes))  # nothing would be left
     with pytest.raises(ModeMismatchError):
-        partial_trace(rho, set(rho.modes))
+        _trace_out(rho, {SOURCE_H})  # not a mode of the operator
+    identity = PovmElement((ALICE_H,), [(0,), (1,)], np.eye(2), 1.0)
     with pytest.raises(ModeMismatchError):
-        partial_trace(rho, {SOURCE_H})
+        condition_on_povm(rho, identity, on=())  # empty, and not the element's modes
 
 
 def test_partial_trace_random_states_stay_physical():
-    # 1000 random pure states, arbitrary keep subsets: reduced operators are
+    # 1000 random pure states, arbitrary traced subsets: reduced operators are
     # unit-trace with spectrum above the PSD floor
     for _ in range(1000):
         n_modes = int(RNG.integers(2, 5))
@@ -174,7 +188,9 @@ def test_partial_trace_random_states_stay_physical():
         state = random_state(RNG, modes, photons)
         keep_size = int(RNG.integers(1, len(modes)))
         keep = set(RNG.choice(len(modes), size=keep_size, replace=False))
-        reduced = partial_trace(to_density(state), {modes[i] for i in keep})
+        traced = {modes[i] for i in range(len(modes)) if i not in keep}
+        reduced = _trace_out(to_density(state), traced)
+        assert reduced.modes == tuple(modes[i] for i in sorted(keep))
         assert abs(reduced.trace() - 1.0) < 1e-12
         assert reduced.eigenvalues().min() > -1e-10
 

@@ -10,9 +10,11 @@ from rsp_sim import (
     BOB_V,
     SOURCE_H,
     SOURCE_V,
+    FockState,
     HeraldPattern,
     ImpossibleHeraldError,
     ModeMismatchError,
+    PovmElement,
     Projector,
     ZeroProbabilityError,
     apply,
@@ -29,7 +31,8 @@ from rsp_sim import (
     to_density,
 )
 from rsp_sim.protocol import alice_measurement_ket, shared_state, splitting_unitary
-from helpers import ALL_MODES, reference_shared_ket
+from helpers import ALL_MODES, random_state, reference_shared_ket
+from oracles import weak_compositions
 
 RNG = np.random.default_rng(91525)
 
@@ -67,6 +70,17 @@ def test_herald_impossible_pattern_is_flagged():
     state = extend_modes(make_fock([(SOURCE_H, 2), (SOURCE_V, 2)]), ALL_MODES)
     with pytest.raises(ImpossibleHeraldError):
         herald(state, HeraldPattern([((ALICE_H, ALICE_V), 1), ((BOB_H, BOB_V), 3)]))
+
+
+def test_herald_keeps_tiny_but_possible_outcomes():
+    # the matching ket carries probability 1e-18, far below any absolute
+    # floor; it is still a possible outcome and must herald and renormalize
+    tiny = 1e-9
+    state = FockState((ALICE_H, ALICE_V), {(1, 0): tiny, (0, 1): math.sqrt(1.0 - tiny**2)})
+    prob, conditional = herald(state, HeraldPattern([((ALICE_H,), 1)]))
+    assert abs(prob - 1e-18) < 1e-30
+    assert abs(conditional.amplitude((1, 0)) - 1.0) < 1e-12
+    assert set(conditional.amps) == {(1, 0)}
 
 
 def test_herald_validates_pattern():
@@ -157,8 +171,8 @@ def test_partial_polarizer_half_strength_on_h():
     phi = Projector(make_fock([(ALICE_H, 1), (ALICE_V, 0)]))
     element = partial_polarizer_povm(phi, 0.5)
     # basis is ((0,1), (1,0)): V first, H second
-    assert abs(element.entry((1, 0), (1, 0)) - 0.75) < 1e-15
-    assert abs(element.entry((0, 1), (0, 1)) - 0.25) < 1e-15
+    assert abs(element.operator[1, 1] - 0.75) < 1e-15
+    assert abs(element.operator[0, 0] - 0.25) < 1e-15
 
 
 def test_partial_polarizer_rejects_bad_strength():
@@ -210,3 +224,81 @@ def test_projector_requires_normalized_target():
             (0.9, make_fock([(ALICE_H, 1), (ALICE_V, 0)])),
             (0.9, make_fock([(ALICE_H, 0), (ALICE_V, 1)])),
         ]))
+
+
+def _loop_split(modes, on):
+    on_idx = [i for i, m in enumerate(modes) if m in on]
+    rest_idx = [i for i, m in enumerate(modes) if m not in on]
+
+    def on_key(occ):
+        return tuple(occ[i] for i in on_idx)
+
+    def rest_key(occ):
+        return tuple(occ[i] for i in rest_idx)
+
+    return on_key, rest_key
+
+
+def _random_case(rng):
+    # a random state on 2-4 modes, a random strict subset of them to measure,
+    # and a photon count for the measured subsystem
+    n_modes = int(rng.integers(2, 5))
+    picked = rng.choice(len(ALL_MODES), n_modes, replace=False)
+    modes = tuple(sorted(ALL_MODES[i] for i in picked))
+    photons = int(rng.integers(1, 5))
+    state = random_state(rng, modes, photons)
+    picked = rng.choice(n_modes, int(rng.integers(1, n_modes)), replace=False)
+    on = tuple(sorted(modes[i] for i in picked))
+    return state, on, int(rng.integers(0, photons + 1))
+
+
+def test_project_matches_scalar_loop_exactly():
+    # the vectorized contraction must reproduce the per-ket scalar loop bit
+    # for bit: same products, accumulated in the same order
+    for _ in range(200):
+        state, on, q = _random_case(RNG)
+        if max(q, 1) >= state.total_photons:
+            continue  # nothing would be left on the rest modes
+        target = random_state(RNG, on, max(q, 1))
+        on_key, rest_key = _loop_split(state.modes, set(on))
+        residual = {}
+        for occ, amp in state.items():
+            phi = target.amps.get(on_key(occ))
+            if phi is not None:
+                residual[rest_key(occ)] = residual.get(rest_key(occ), 0j) + phi.conjugate() * amp
+        expected = sum(abs(a) ** 2 for _, a in sorted(residual.items()))
+        if expected < 1e-15:
+            continue
+        prob, remote = project(state, Projector(target), on)
+        assert prob == expected
+        scale = 1.0 / math.sqrt(expected)
+        assert remote.items() == sorted((k, a * scale) for k, a in residual.items())
+
+
+def test_condition_on_povm_matches_scalar_loop_exactly():
+    for _ in range(200):
+        state, on, q = _random_case(RNG)
+        rho = to_density(state)
+        basis = sorted(weak_compositions(q, len(on)))
+        g = RNG.normal(size=(len(basis),) * 2) + 1j * RNG.normal(size=(len(basis),) * 2)
+        op = g @ g.conj().T
+        element = PovmElement(on, basis, op / (1.01 * np.linalg.eigvalsh(op).max()), 0.5)
+        on_key, rest_key = _loop_split(rho.modes, set(on))
+        rest_basis = sorted({rest_key(occ) for occ in rho.basis})
+        index = {occ: k for k, occ in enumerate(rest_basis)}
+        e_index = {occ: k for k, occ in enumerate(basis)}
+        out = np.zeros((len(rest_basis), len(rest_basis)), dtype=complex)
+        for i, occ_i in enumerate(rho.basis):
+            for j, occ_j in enumerate(rho.basis):
+                a, c = e_index.get(on_key(occ_j)), e_index.get(on_key(occ_i))
+                if a is None or c is None or element.operator[a, c] == 0:
+                    continue
+                w = complex(element.operator[a, c])
+                out[index[rest_key(occ_i)], index[rest_key(occ_j)]] += w * rho.matrix[i, j]
+        expected = float(np.trace(out).real)
+        if expected < 1e-15:
+            continue
+        prob, conditional = condition_on_povm(rho, element, on)
+        assert prob == expected
+        assert conditional.basis == tuple(rest_basis)
+        assert np.array_equal(conditional.matrix, out / expected)
