@@ -62,14 +62,12 @@ from .protocol import (
 from .analysis import (
     CountTable,
     FringeScan,
-    ObservableSpec,
     chsh,
     component_populations,
     correlation,
     count_table,
     fit_fringe,
     fringe_scan,
-    observable,
     purity_and_fidelity,
     sample_count_table,
     sample_counts,

@@ -2,9 +2,11 @@
 
 CHSH correlations are evaluated on the 2x2 qubit subspace spanned by
 Alice's single-photon polarization and Bob's two-branch photon-number
-basis. Every correlation is computed twice, once as an operator trace and
-once through the four-outcome count estimator driven by the instrument
-angles; the two routes must agree to machine precision.
+basis. There are four observable kinds: mu_s and pi_s on Alice's photon,
+mu_t and pi_t on Bob's 2n-1 photons. Every correlation is computed twice,
+once as an operator trace and once through the four-outcome count estimator
+driven by the instrument angles; the two routes must agree to machine
+precision, and ``correlation`` returns the trace value with its count table.
 
 Sign convention: the second single-photon setting is (sigma_x - sigma_z)/sqrt(2),
 the operator whose +1 eigenstate the instrument selects at a half-wave-plate
@@ -43,44 +45,33 @@ _SQRT2 = math.sqrt(2.0)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
-OBSERVABLE_MATRICES: dict[str, np.ndarray] = {
-    "sigma_z_single": _SIGMA_Z,
-    "sigma_x_single": _SIGMA_X,
-    "sigma_z_triple": _SIGMA_Z,
-    "sigma_x_triple": _SIGMA_X,
-    "mu_s": (_SIGMA_Z + _SIGMA_X) / _SQRT2,
-    "pi_s": (_SIGMA_X - _SIGMA_Z) / _SQRT2,
-    "mu_t": _SIGMA_Z,
-    "pi_t": _SIGMA_X,
+# The four CHSH kinds, one table per party: kind -> (observable matrix,
+# (plus outcome, minus outcome) wave-plate angles realizing it). Alice's
+# single-photon kinds set her gamma, Bob's multi-photon kinds set his delta.
+ALICE_KINDS: dict[str, tuple[np.ndarray, tuple[float, float]]] = {
+    "mu_s": ((_SIGMA_Z + _SIGMA_X) / _SQRT2, (math.pi / 16, 5 * math.pi / 16)),
+    "pi_s": ((_SIGMA_X - _SIGMA_Z) / _SQRT2, (3 * math.pi / 16, 7 * math.pi / 16)),
+}
+BOB_KINDS: dict[str, tuple[np.ndarray, tuple[float, float]]] = {
+    "mu_t": (_SIGMA_Z, (0.0, math.pi / 4)),
+    "pi_t": (_SIGMA_X, (math.pi / 8, 3 * math.pi / 8)),
 }
 
-# (plus outcome, minus outcome) wave-plate angles realizing each observable;
-# single-photon kinds set Alice's gamma, multi-photon kinds set Bob's delta.
-INSTRUMENT_ANGLES: dict[str, tuple[float, float]] = {
-    "sigma_z_single": (0.0, math.pi / 4),
-    "sigma_x_single": (math.pi / 8, 3 * math.pi / 8),
-    "mu_s": (math.pi / 16, 5 * math.pi / 16),
-    "pi_s": (3 * math.pi / 16, 7 * math.pi / 16),
-    "sigma_z_triple": (0.0, math.pi / 4),
-    "sigma_x_triple": (math.pi / 8, 3 * math.pi / 8),
-    "mu_t": (0.0, math.pi / 4),
-    "pi_t": (math.pi / 8, 3 * math.pi / 8),
-}
-
-_SINGLE_KINDS = {"sigma_z_single", "sigma_x_single", "mu_s", "pi_s"}
-_TRIPLE_KINDS = {"sigma_z_triple", "sigma_x_triple", "mu_t", "pi_t"}
+# the four (Alice, Bob) settings, in the order chsh_value combines them
+CHSH_SETTINGS = (
+    ("mu_s", "mu_t"),
+    ("mu_s", "pi_t"),
+    ("pi_s", "mu_t"),
+    ("pi_s", "pi_t"),
+)
 
 
-@dataclass(frozen=True)
-class ObservableSpec:
-    kind: str
-    matrix: np.ndarray
-
-
-def observable(kind: str) -> ObservableSpec:
-    if kind not in OBSERVABLE_MATRICES:
-        raise ValueError(f"unknown observable kind {kind!r}")
-    return ObservableSpec(kind, OBSERVABLE_MATRICES[kind])
+def _kinds(s_kind: str, t_kind: str):
+    if s_kind not in ALICE_KINDS:
+        raise ValueError(f"{s_kind!r} is not a single-photon observable")
+    if t_kind not in BOB_KINDS:
+        raise ValueError(f"{t_kind!r} is not a multi-photon observable")
+    return ALICE_KINDS[s_kind], BOB_KINDS[t_kind]
 
 
 @dataclass(frozen=True)
@@ -139,72 +130,52 @@ def _subspace_matrix(rho: DensityOperator, n: int) -> np.ndarray:
     return sub
 
 
-def _instrument_ket(kind: str, sign: str, n: int) -> FockState:
-    plus, minus = INSTRUMENT_ANGLES[kind]
-    angle = plus if sign == "+" else minus
-    if kind in _SINGLE_KINDS:
-        return protocol.alice_measurement_ket(angle, 0.0)
-    return protocol.bob_measurement_ket(n, angle, 0.0)
-
-
 def count_table(
-    state: FockState | DensityOperator,
-    s_obs: ObservableSpec | str,
-    t_obs: ObservableSpec | str,
-    n: int = 2,
+    state: FockState | DensityOperator, s_kind: str, t_kind: str, n: int = 2
 ) -> CountTable:
     """Expected outcome table using the physical wave-plate settings."""
     rho = _coerce_density(state)
-    s_kind = s_obs.kind if isinstance(s_obs, ObservableSpec) else s_obs
-    t_kind = t_obs.kind if isinstance(t_obs, ObservableSpec) else t_obs
-    if s_kind not in _SINGLE_KINDS:
-        raise ValueError(f"{s_kind!r} is not a single-photon observable")
-    if t_kind not in _TRIPLE_KINDS:
-        raise ValueError(f"{t_kind!r} is not a multi-photon observable")
-    probs = {}
-    for s_sign in "+-":
-        for t_sign in "+-":
-            joint = tensor(
-                _instrument_ket(s_kind, s_sign, n),
-                _instrument_ket(t_kind, t_sign, n),
-            )
-            probs[s_sign + t_sign] = expectation(rho, joint)
-    return CountTable(probs["++"], probs["+-"], probs["-+"], probs["--"])
+    (_, s_angles), (_, t_angles) = _kinds(s_kind, t_kind)
+    s_kets = [protocol.alice_measurement_ket(angle, 0.0) for angle in s_angles]
+    t_kets = [protocol.bob_measurement_ket(n, angle, 0.0) for angle in t_angles]
+    # outcome order ++, +-, -+, --
+    return CountTable(
+        *(expectation(rho, tensor(s_ket, t_ket)) for s_ket in s_kets for t_ket in t_kets)
+    )
 
 
 def correlation(
-    state: FockState | DensityOperator,
-    s_obs: ObservableSpec | str,
-    t_obs: ObservableSpec | str,
-    n: int = 2,
-) -> float:
+    state: FockState | DensityOperator, s_kind: str, t_kind: str, n: int = 2
+) -> tuple[float, CountTable]:
     """Joint expectation value of a single-photon and a multi-photon setting.
 
     Computed as Tr(rho (S (x) T)) and cross-checked against the instrument
     count estimator (N++ + N-- - N+- - N-+) / N; disagreement beyond
-    ``ROUTE_TOL`` means a bug and raises.
+    ``ROUTE_TOL`` means a bug and raises. Returns the trace-route value and
+    the count table it was checked against.
     """
     rho = _coerce_density(state)
-    s_spec = s_obs if isinstance(s_obs, ObservableSpec) else observable(s_obs)
-    t_spec = t_obs if isinstance(t_obs, ObservableSpec) else observable(t_obs)
     sub = _subspace_matrix(rho, n)
-    op = np.kron(s_spec.matrix, t_spec.matrix)
-    value = float(np.trace(sub @ op).real)
-    counted = count_table(rho, s_spec, t_spec, n).correlation()
+    (s_matrix, _), (t_matrix, _) = _kinds(s_kind, t_kind)
+    value = float(np.trace(sub @ np.kron(s_matrix, t_matrix)).real)
+    table = count_table(rho, s_kind, t_kind, n)
+    counted = table.correlation()
     if abs(value - counted) > ROUTE_TOL:
         raise RuntimeError(
             f"correlation routes disagree: trace {value!r} vs counts {counted!r}"
         )
-    return value
+    return value, table
+
+
+def chsh_value(e: Sequence[float]) -> float:
+    """|-E(mu,mu) + E(mu,pi) + E(pi,mu) + E(pi,pi)| over the correlations
+    of the CHSH_SETTINGS, in that order."""
+    return abs(-e[0] + e[1] + e[2] + e[3])
 
 
 def chsh(state: FockState | DensityOperator, n: int = 2) -> float:
-    """CHSH parameter |-E(mu,mu) + E(mu,pi) + E(pi,mu) + E(pi,pi)|."""
-    e_mm = correlation(state, "mu_s", "mu_t", n)
-    e_mp = correlation(state, "mu_s", "pi_t", n)
-    e_pm = correlation(state, "pi_s", "mu_t", n)
-    e_pp = correlation(state, "pi_s", "pi_t", n)
-    return abs(-e_mm + e_mp + e_pm + e_pp)
+    """CHSH parameter of a state on the Alice (x) Bob qubit subspace."""
+    return chsh_value([correlation(state, s, t, n)[0] for s, t in CHSH_SETTINGS])
 
 
 def white_noise_shared_state(n: int, p: float) -> DensityOperator:

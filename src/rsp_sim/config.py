@@ -29,6 +29,10 @@ FORMATS = ("csv", "json")
 
 _GRID_EXPERIMENTS = ("phase_fringe", "amplitude_fringe", "mixed_state", "general_n")
 
+# largest source size: the splitter normalizes each ket by sqrt(n! * n!),
+# and 99! * 99! (about 8.7e311) no longer converts to a float
+MAX_N_PAIRS = 98
+
 
 class SchemaError(ValueError):
     """Configuration violates the scenario schema."""
@@ -124,8 +128,8 @@ class ScenarioConfig:
             raise SchemaError(
                 f"unknown experiment {self.experiment!r}; pick one of {EXPERIMENTS}"
             )
-        if self.n_pairs < 1:
-            raise SchemaError(f"n_pairs must be >= 1, got {self.n_pairs}")
+        if not 1 <= self.n_pairs <= MAX_N_PAIRS:
+            raise SchemaError(f"n_pairs must be in [1, {MAX_N_PAIRS}], got {self.n_pairs}")
         if not 0.0 <= self.p_strength <= 1.0:
             raise SchemaError(f"p_strength {self.p_strength} outside [0, 1]")
         if not 0.0 <= self.distinguishability <= 1.0:
@@ -145,8 +149,10 @@ class ScenarioConfig:
                 raise SchemaError(f"grid needs at least 2 points, got {self.grid.points}")
             if self.experiment == "general_n":
                 values = self.grid.values()
-                if any(abs(v - round(v)) > 1e-9 or round(v) < 1 for v in values):
-                    raise SchemaError("general_n grid must enumerate integers >= 1")
+                if any(abs(v - round(v)) > 1e-9 for v in values):
+                    raise SchemaError("general_n grid must enumerate integers")
+                if not 1 <= round(min(values)) <= round(max(values)) <= MAX_N_PAIRS:
+                    raise SchemaError(f"general_n grid must stay in [1, {MAX_N_PAIRS}]")
         if self.shots is not None and self.seed is None:
             raise SchemaError("sampling (shots) requires a seed for reproducibility")
 

@@ -255,6 +255,24 @@ def inner_product(a: FockState, b: FockState) -> complex:
     return sum((a.amps[k].conjugate() * b.amps[k] for k in keys), 0j)
 
 
+def _checked_basis(
+    modes: Iterable[Mode], basis: Iterable[tuple[int, ...]]
+) -> tuple[tuple[Mode, ...], tuple[tuple[int, ...], ...]]:
+    """Modes and basis as tuples: unique canonically ordered modes, and
+    distinct entries of one non-negative count per mode."""
+    modes = tuple(modes)
+    basis = tuple(tuple(int(c) for c in occ) for occ in basis)
+    if list(modes) != sorted(modes) or len(set(modes)) != len(modes):
+        raise ModeMismatchError("modes must be unique and canonically ordered")
+    if any(len(occ) != len(modes) for occ in basis):
+        raise ModeMismatchError("basis entry length does not match mode count")
+    if any(c < 0 for occ in basis for c in occ):
+        raise ValueError("negative occupation in basis")
+    if len(set(basis)) != len(basis):
+        raise ValueError("duplicate occupation vectors in basis")
+    return modes, basis
+
+
 class DensityOperator:
     """Dense operator over an explicit, canonically sorted occupation basis."""
 
@@ -266,14 +284,7 @@ class DensityOperator:
         basis: Iterable[tuple[int, ...]],
         matrix: np.ndarray,
     ):
-        modes = tuple(modes)
-        basis = tuple(tuple(int(c) for c in occ) for occ in basis)
-        if list(modes) != sorted(modes) or len(set(modes)) != len(modes):
-            raise ModeMismatchError("modes must be unique and canonically ordered")
-        if len(set(basis)) != len(basis):
-            raise ValueError("duplicate occupation vectors in basis")
-        if any(len(occ) != len(modes) for occ in basis):
-            raise ModeMismatchError("basis entry length does not match mode count")
+        modes, basis = _checked_basis(modes, basis)
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.shape != (len(basis), len(basis)):
             raise ValueError(f"matrix shape {matrix.shape} does not match basis size {len(basis)}")

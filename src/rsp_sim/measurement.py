@@ -22,6 +22,7 @@ from .fock import (
     FockState,
     Mode,
     ModeMismatchError,
+    _checked_basis,
     to_density,
 )
 
@@ -171,15 +172,17 @@ def project(
 
 @dataclass(frozen=True)
 class PovmElement:
-    """Positive operator on an explicit occupation basis, with the projection
-    strength that produced it."""
+    """Positive operator on an explicit occupation basis over canonically
+    ordered modes, checked as a DensityOperator's basis is."""
 
     modes: tuple[Mode, ...]
     basis: tuple[tuple[int, ...], ...]
     operator: np.ndarray
-    strength: float
 
     def __post_init__(self):
+        modes, basis = _checked_basis(self.modes, self.basis)
+        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "basis", basis)
         op = np.asarray(self.operator, dtype=complex)
         if op.shape != (len(self.basis), len(self.basis)):
             raise ValueError("operator shape does not match basis")
@@ -187,7 +190,6 @@ class PovmElement:
         if eig.min() < -NORM_TOL or eig.max() > 1.0 + NORM_TOL:
             raise ValueError(f"POVM element eigenvalues outside [0, 1]: {eig}")
         object.__setattr__(self, "operator", op)
-        object.__setattr__(self, "basis", tuple(tuple(occ) for occ in self.basis))
 
 
 def partial_polarizer_povm(phi: Projector, p: float) -> PovmElement:
@@ -203,7 +205,7 @@ def partial_polarizer_povm(phi: Projector, p: float) -> PovmElement:
     basis = ((0, 1), (1, 0))
     v = np.array([target.amps.get(occ, 0j) for occ in basis], dtype=complex)
     op = p * np.outer(v, v.conj()) + (1.0 - p) / 2.0 * np.eye(2)
-    return PovmElement(target.modes, basis, op, p)
+    return PovmElement(target.modes, basis, op)
 
 
 def condition_on_povm(

@@ -82,7 +82,6 @@ class RspOutcome:
     herald_probability: float
     alice_probability: float
     bob_state: DensityOperator
-    bob_basis: tuple[tuple[int, ...], ...]
     bob_ket: FockState | None = None
 
 
@@ -149,8 +148,7 @@ def closed_form_bob_density(n: int, gamma: float, theta: float, p: float) -> Den
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
     pure = to_density(closed_form_bob_ket(n, gamma, theta))
-    identity = DensityOperator(pure.modes, pure.basis, np.eye(2, dtype=complex))
-    matrix = p * pure.matrix + (1.0 - p) / 2.0 * identity.matrix
+    matrix = p * pure.matrix + (1.0 - p) / 2.0 * np.eye(2, dtype=complex)
     return DensityOperator(pure.modes, pure.basis, matrix)
 
 
@@ -167,7 +165,7 @@ def rsp_pure(settings: RspSettings) -> RspOutcome:
     herald_probability, shared, phi = _prepared(settings)
     alice_probability, bob = project(shared, phi)
     rho = to_density(bob)
-    return RspOutcome(herald_probability, alice_probability, rho, rho.basis, bob_ket=bob)
+    return RspOutcome(herald_probability, alice_probability, rho, bob_ket=bob)
 
 
 def rsp_mixed(settings: RspSettings) -> RspOutcome:
@@ -179,7 +177,7 @@ def rsp_mixed(settings: RspSettings) -> RspOutcome:
     herald_probability, shared, phi = _prepared(settings)
     element = partial_polarizer_povm(phi, settings.p_strength)
     alice_probability, rho = condition_on_povm(shared, element)
-    return RspOutcome(herald_probability, alice_probability, rho, rho.basis)
+    return RspOutcome(herald_probability, alice_probability, rho)
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,6 @@ from .config import ScenarioConfig
 from .fock import inner_product, occupation_label, operator_distance
 from .protocol import RspSettings
 
-_CHSH_PAIRS = (
-    ("mu_s", "mu_t"),
-    ("mu_s", "pi_t"),
-    ("pi_s", "mu_t"),
-    ("pi_s", "pi_t"),
-)
-
-
 @dataclass(frozen=True)
 class ResultRecord:
     scenario: dict
@@ -103,10 +95,8 @@ def _run_chsh(config: ScenarioConfig):
     if config.shots:
         columns += ["sampled_correlation", "c_pp", "c_pm", "c_mp", "c_mm"]
     points = []
-    sampled_terms = []
-    for s_kind, t_kind in _CHSH_PAIRS:
-        table = analysis.count_table(state, s_kind, t_kind, config.n_pairs)
-        value = analysis.correlation(state, s_kind, t_kind, config.n_pairs)
+    for s_kind, t_kind in analysis.CHSH_SETTINGS:
+        value, table = analysis.correlation(state, s_kind, t_kind, config.n_pairs)
         point = {
             "s_obs": s_kind,
             "t_obs": t_kind,
@@ -125,14 +115,10 @@ def _run_chsh(config: ScenarioConfig):
                 c_mp=sampled.n_mp,
                 c_mm=sampled.n_mm,
             )
-            sampled_terms.append(sampled.correlation())
         points.append(point)
-    values = [p["correlation"] for p in points]
-    summary = {"chsh": abs(-values[0] + values[1] + values[2] + values[3])}
+    summary = {"chsh": analysis.chsh_value([p["correlation"] for p in points])}
     if config.shots:
-        summary["sampled_chsh"] = abs(
-            -sampled_terms[0] + sampled_terms[1] + sampled_terms[2] + sampled_terms[3]
-        )
+        summary["sampled_chsh"] = analysis.chsh_value([p["sampled_correlation"] for p in points])
     return tuple(columns), points, summary
 
 

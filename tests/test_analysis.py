@@ -11,6 +11,7 @@ from rsp_sim import (
     CountTable,
     DensityOperator,
     RspSettings,
+    ScenarioConfig,
     chsh,
     closed_form_bob_ket,
     component_populations,
@@ -19,7 +20,6 @@ from rsp_sim import (
     fit_fringe,
     fringe_scan,
     make_fock,
-    observable,
     purity_and_fidelity,
     rsp_mixed,
     rsp_pure,
@@ -31,6 +31,7 @@ from rsp_sim import (
     to_density,
     white_noise_shared_state,
 )
+from rsp_sim import analysis, scenarios
 from helpers import angdiff
 
 RNG = np.random.default_rng(271828)
@@ -62,32 +63,43 @@ def _random_qubit_density(rng) -> DensityOperator:
 
 
 def test_observable_matrices_have_unit_eigenvalues():
-    for kind in ("sigma_z_single", "sigma_x_single", "mu_s", "pi_s", "mu_t", "pi_t"):
-        spec = observable(kind)
-        assert np.allclose(spec.matrix, spec.matrix.conj().T)
-        assert np.allclose(np.sort(np.linalg.eigvalsh(spec.matrix)), [-1.0, 1.0])
-    with pytest.raises(ValueError):
-        observable("sigma_y")
+    kinds = {**analysis.ALICE_KINDS, **analysis.BOB_KINDS}
+    assert sorted(kinds) == ["mu_s", "mu_t", "pi_s", "pi_t"]
+    for matrix, _ in kinds.values():
+        assert np.allclose(matrix, matrix.conj().T)
+        assert np.allclose(np.sort(np.linalg.eigvalsh(matrix)), [-1.0, 1.0])
+    _, state = shared_state(2)
+    for pair in (("sigma_y", "mu_t"), ("mu_s", "sigma_y"), ("mu_t", "mu_s")):
+        with pytest.raises(ValueError):
+            correlation(state, *pair)
+        with pytest.raises(ValueError):
+            count_table(state, *pair)
 
 
 def test_sigma_zz_is_perfectly_anticorrelated():
     # the branches pair Alice-H with the V-heavy Bob component, so the
-    # z-type observables anti-correlate on the shared state
+    # z-type observables anti-correlate on the shared state; sigma_z on Alice
+    # is (mu_s - pi_s)/sqrt(2) and sigma_z on Bob is mu_t
     _, state = shared_state(2)
-    value = correlation(state, "sigma_z_single", "sigma_z_triple")
-    assert abs(value + 1.0) < 1e-12
+    e_mu, _ = correlation(state, "mu_s", "mu_t")
+    e_pi, _ = correlation(state, "pi_s", "mu_t")
+    assert abs((e_mu - e_pi) / SQRT2 + 1.0) < 1e-12
 
 
 def test_correlation_on_maximally_mixed_state_vanishes():
     basis = tuple(sorted(_qubit_occs()))
     rho = DensityOperator(QUBIT_MODES, basis, np.eye(4, dtype=complex) / 4.0)
-    for pair in (("mu_s", "mu_t"), ("pi_s", "pi_t"), ("sigma_z_single", "sigma_x_triple")):
-        assert abs(correlation(rho, *pair)) < 1e-12
+    for pair in (("mu_s", "mu_t"), ("pi_s", "pi_t"), ("mu_s", "pi_t")):
+        value, table = correlation(rho, *pair)
+        assert abs(value) < 1e-12
+        assert abs(table.correlation()) < 1e-12
 
 
 def test_diagonal_correlation_value():
     _, state = shared_state(2)
-    assert abs(correlation(state, "mu_s", "mu_t") + 1.0 / SQRT2) < 1e-12
+    value, table = correlation(state, "mu_s", "mu_t")
+    assert abs(value + 1.0 / SQRT2) < 1e-12
+    assert table == count_table(state, "mu_s", "mu_t")
 
 
 def test_correlation_rejects_leaky_states():
@@ -137,14 +149,14 @@ def test_chsh_with_white_noise_hits_published_value():
 
 
 def test_count_route_equals_operator_route_on_random_states():
-    kinds_s = ("sigma_z_single", "sigma_x_single", "mu_s", "pi_s")
-    kinds_t = ("sigma_z_triple", "sigma_x_triple", "mu_t", "pi_t")
+    kinds_s = ("mu_s", "pi_s")
+    kinds_t = ("mu_t", "pi_t")
     for _ in range(100):
         rho = _random_qubit_density(RNG)
-        s_kind = kinds_s[int(RNG.integers(0, 4))]
-        t_kind = kinds_t[int(RNG.integers(0, 4))]
+        s_kind = kinds_s[int(RNG.integers(0, 2))]
+        t_kind = kinds_t[int(RNG.integers(0, 2))]
         by_counts = count_table(rho, s_kind, t_kind).correlation()
-        by_trace = correlation(rho, s_kind, t_kind)  # internally cross-checked
+        by_trace, _ = correlation(rho, s_kind, t_kind)  # internally cross-checked
         assert abs(by_counts - by_trace) < 1e-12
 
 
@@ -156,6 +168,22 @@ def test_chsh_via_instrument_angles_only():
         values.append(count_table(rho, *pair).correlation())
     s = abs(-values[0] + values[1] + values[2] + values[3])
     assert abs(s - 2.0 * SQRT2) < 1e-9
+
+
+def test_chsh_scenario_builds_one_count_table_per_setting(monkeypatch):
+    calls = []
+    original = analysis.count_table
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "count_table", counting)
+    record = scenarios.run_scenario(ScenarioConfig(experiment="chsh", shots=100, seed=1))
+    assert calls == list(analysis.CHSH_SETTINGS)
+    assert record.summary["chsh"] == analysis.chsh_value(
+        [point["correlation"] for point in record.points]
+    )
 
 
 def test_phase_fringe_zero_offset():

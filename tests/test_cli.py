@@ -89,6 +89,18 @@ def test_nan_angle_exits_2_without_output(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == [cfg]  # nothing written
 
 
+def test_source_size_past_float_range_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("experiment = populations\nn_pairs = 99\n")
+    assert cli.main(["run", str(cfg)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["code"] == 2
+    assert err["error"]["kind"] == "schema"
+    assert "n_pairs" in err["error"]["message"]
+    assert list(tmp_path.iterdir()) == [cfg]  # nothing written
+
+
 def test_json_rendering_refuses_nan():
     record = cli.run_scenario(PRESETS["fig3_populations"])
     record.summary["bad"] = math.nan

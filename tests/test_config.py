@@ -147,6 +147,15 @@ def test_validation_catches_ranges():
     ScenarioConfig(experiment="chsh").validate()
 
 
+def test_source_size_capped_where_the_splitter_overflows():
+    ScenarioConfig(experiment="populations", n_pairs=98).validate()
+    ScenarioConfig(experiment="general_n", grid=GridSpec(97, 98, 2), trials=1).validate()
+    with pytest.raises(SchemaError, match="n_pairs"):
+        ScenarioConfig(experiment="populations", n_pairs=99).validate()
+    with pytest.raises(SchemaError, match="general_n"):
+        ScenarioConfig(experiment="general_n", grid=GridSpec(98, 99, 2), trials=1).validate()
+
+
 def test_grid_values_are_inclusive():
     grid = GridSpec(0.0, 1.0, 5)
     assert grid.values() == [0.0, 0.25, 0.5, 0.75, 1.0]

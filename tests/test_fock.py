@@ -133,7 +133,7 @@ def _trace_out(rho, traced):
     modes = tuple(sorted(traced))
     idx = [rho.modes.index(m) for m in modes if m in rho.modes]
     basis = sorted({tuple(occ[i] for i in idx) for occ in rho.basis})
-    identity = PovmElement(modes, basis, np.eye(len(basis)), 1.0)
+    identity = PovmElement(modes, basis, np.eye(len(basis)))
     probability, reduced = condition_on_povm(rho, identity)
     assert abs(probability - rho.trace()) < 1e-12
     return reduced
@@ -172,7 +172,7 @@ def test_partial_trace_rejects_bad_keep_sets():
         _trace_out(rho, set(rho.modes))  # nothing would be left
     with pytest.raises(ModeMismatchError):
         _trace_out(rho, {SOURCE_H})  # not a mode of the operator
-    identity = PovmElement((ALICE_H,), [(0,), (1,)], np.eye(2), 1.0)
+    identity = PovmElement((ALICE_H,), [(0,), (1,)], np.eye(2))
     with pytest.raises(ModeMismatchError):
         condition_on_povm(rho, identity, on=())  # empty, and not the element's modes
 

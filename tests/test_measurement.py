@@ -183,6 +183,23 @@ def test_partial_polarizer_rejects_bad_strength():
         partial_polarizer_povm(phi, -0.1)
 
 
+@pytest.mark.parametrize(
+    "modes,basis,error",
+    [
+        ((ALICE_V, ALICE_H), [(1, 0), (0, 1)], ModeMismatchError),  # not canonical
+        ((ALICE_H, ALICE_H), [(1, 0), (0, 1)], ModeMismatchError),  # duplicate mode
+        ((ALICE_H, ALICE_V), [(1,), (0, 1)], ModeMismatchError),  # wrong length
+        ((ALICE_H, ALICE_V), [(2, -1), (0, 1)], ValueError),  # negative count
+        ((ALICE_H, ALICE_V), [(0, 1), (0, 1)], ValueError),  # duplicate entry
+    ],
+    ids=["unsorted-modes", "duplicate-modes", "entry-length", "negative-count", "duplicate-entry"],
+)
+def test_povm_element_validates_its_basis(modes, basis, error):
+    with pytest.raises(ValueError) as excinfo:
+        PovmElement(modes, basis, np.diag([1.0, 0.0]))
+    assert excinfo.type is error
+
+
 def test_povm_at_full_strength_matches_projection():
     _, shared = shared_state(2)
     phi = Projector(alice_measurement_ket(0.27, 0.9))
@@ -282,7 +299,7 @@ def test_condition_on_povm_matches_scalar_loop_exactly():
         basis = sorted(weak_compositions(q, len(on)))
         g = RNG.normal(size=(len(basis),) * 2) + 1j * RNG.normal(size=(len(basis),) * 2)
         op = g @ g.conj().T
-        element = PovmElement(on, basis, op / (1.01 * np.linalg.eigvalsh(op).max()), 0.5)
+        element = PovmElement(on, basis, op / (1.01 * np.linalg.eigvalsh(op).max()))
         on_key, rest_key = _loop_split(rho.modes, set(on))
         rest_basis = sorted({rest_key(occ) for occ in rho.basis})
         index = {occ: k for k, occ in enumerate(rest_basis)}
