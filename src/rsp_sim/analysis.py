@@ -34,6 +34,7 @@ from .fock import (
     expectation,
     tensor,
     to_density,
+    white_noise_mixture,
 )
 from .protocol import RspSettings
 
@@ -157,7 +158,9 @@ def correlation(
     rho = _coerce_density(state)
     sub = _subspace_matrix(rho, n)
     (s_matrix, _), (t_matrix, _) = _kinds(s_kind, t_kind)
-    value = float(np.trace(sub @ np.kron(s_matrix, t_matrix)).real)
+    # S (x) T as a 4x4 matrix over (a, b) x (c, d), then Tr(sub (S (x) T))
+    kron = np.einsum("ac,bd->abcd", s_matrix, t_matrix).reshape(4, 4)
+    value = float(np.einsum("ij,ji->", sub, kron).real)
     table = count_table(rho, s_kind, t_kind, n)
     counted = table.correlation()
     if abs(value - counted) > ROUTE_TOL:
@@ -184,13 +187,8 @@ def white_noise_shared_state(n: int, p: float) -> DensityOperator:
     The pure part comes from the simulated split-and-herald pipeline, not
     from a hard-coded state.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"noise weight p={p} outside [0, 1]")
     _, shared = protocol.shared_state(n)
-    basis = tuple(sorted(_qubit_occupations(n)))
-    v = np.array([shared.amps.get(occ, 0j) for occ in basis], dtype=complex)
-    matrix = p * np.outer(v, v.conj()) + (1.0 - p) / 4.0 * np.eye(4)
-    return DensityOperator(_QUBIT_MODES, basis, matrix)
+    return white_noise_mixture(shared, sorted(_qubit_occupations(n)), p)
 
 
 @dataclass(frozen=True)
@@ -226,7 +224,9 @@ def fit_fringe(
     design = np.column_stack([np.ones_like(x), np.cos(frequency * x), np.sin(frequency * x)])
     if len(x) < 3 or np.linalg.matrix_rank(design) < 3:
         raise ValueError("grid cannot determine a sinusoid fit (need 3 independent points)")
-    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
+    # normal equations (X^T X) beta = X^T y
+    gram = np.einsum("ki,kj->ij", design, design)
+    beta = np.linalg.solve(gram, np.einsum("ki,k->i", design, y))
     mean, b, c = (float(v) for v in beta)
     amplitude = math.hypot(b, c)
     if amplitude < FIT_FLOOR:
@@ -287,7 +287,7 @@ def purity_and_fidelity(
     rho: DensityOperator, target: FockState
 ) -> tuple[float, float]:
     """Tr(rho^2) and <psi|rho|psi> for a ket target on the same modes."""
-    purity = float(np.trace(rho.matrix @ rho.matrix).real)
+    purity = float(np.einsum("ij,ji->", rho.matrix, rho.matrix).real)
     fidelity = expectation(rho, target)
     return purity, fidelity
 

@@ -32,6 +32,12 @@ _GRID_EXPERIMENTS = ("phase_fringe", "amplitude_fringe", "mixed_state", "general
 # largest source size: the splitter normalizes each ket by sqrt(n! * n!),
 # and 99! * 99! (about 8.7e311) no longer converts to a float
 MAX_N_PAIRS = 98
+# sampling costs the same at any shot count; 2**53 keeps each count exact as
+# a float. Points and trials fit the 5 s preset budget: a mixed_state point
+# costs about 0.9 ms at n = 2, a general_n trial about 4.2 ms at n = 4.
+MAX_SHOTS = 2**53
+MAX_GRID_POINTS = 5000
+MAX_TRIALS = 1000
 
 
 class SchemaError(ValueError):
@@ -138,17 +144,23 @@ class ScenarioConfig:
             )
         if self.format not in FORMATS:
             raise SchemaError(f"format must be one of {FORMATS}, got {self.format!r}")
-        if self.shots is not None and self.shots < 1:
-            raise SchemaError(f"shots must be >= 1, got {self.shots}")
-        if self.trials < 1:
-            raise SchemaError(f"trials must be >= 1, got {self.trials}")
+        if self.shots is not None and not 1 <= self.shots <= MAX_SHOTS:
+            raise SchemaError(f"shots must be in [1, {MAX_SHOTS}], got {self.shots}")
+        if self.seed is not None and self.seed < 0:
+            raise SchemaError(f"seed must be >= 0, got {self.seed}")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise SchemaError(f"trials must be in [1, {MAX_TRIALS}], got {self.trials}")
+        if self.grid is not None and self.grid.points > MAX_GRID_POINTS:
+            raise SchemaError(f"grid points must be <= {MAX_GRID_POINTS}, got {self.grid.points}")
         if self.experiment in _GRID_EXPERIMENTS:
             if self.grid is None:
                 raise SchemaError(f"experiment {self.experiment!r} needs a grid")
             if self.grid.points < 2:
                 raise SchemaError(f"grid needs at least 2 points, got {self.grid.points}")
+            values = self.grid.values()
+            if self.experiment == "mixed_state" and not all(0.0 <= v <= 1.0 for v in values):
+                raise SchemaError("mixed_state grid values p must stay in [0, 1]")
             if self.experiment == "general_n":
-                values = self.grid.values()
                 if any(abs(v - round(v)) > 1e-9 for v in values):
                     raise SchemaError("general_n grid must enumerate integers")
                 if not 1 <= round(min(values)) <= round(max(values)) <= MAX_N_PAIRS:
@@ -162,6 +174,17 @@ _INT_KEYS = {"n_pairs", "grid_points", "shots", "seed", "trials"}
 _FLOAT_KEYS = {"p_strength", "distinguishability"}
 _STR_KEYS = {"experiment", "output", "format"}
 _ALL_KEYS = _ANGLE_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+
+
+def _integer(key: str, value: Any) -> int:
+    """An integer, an integral float or an integer string; a bool or a
+    fractional or non-finite float is rejected, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise SchemaError(f"{key} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{key} must be an integer, got {value!r}") from exc
 
 
 def config_from_mapping(raw: dict[str, Any]) -> ScenarioConfig:
@@ -184,10 +207,7 @@ def config_from_mapping(raw: dict[str, Any]) -> ScenarioConfig:
                 raise SchemaError(f"{key} must be a number, got {raw[key]!r}") from exc
     for key in ("n_pairs", "shots", "seed", "trials"):
         if key in raw and raw[key] is not None:
-            try:
-                kwargs[key] = int(raw[key])
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"{key} must be an integer, got {raw[key]!r}") from exc
+            kwargs[key] = _integer(key, raw[key])
     if "output" in raw and raw["output"] is not None:
         kwargs["output"] = str(raw["output"])
     if "format" in raw:
@@ -196,17 +216,11 @@ def config_from_mapping(raw: dict[str, Any]) -> ScenarioConfig:
     grid_keys = {"grid_start", "grid_stop", "grid_points"} & set(raw)
     if grid_keys:
         if grid_keys != {"grid_start", "grid_stop", "grid_points"}:
-            raise SchemaError(
-                "grid needs all of grid_start, grid_stop, grid_points"
-            )
-        try:
-            points = int(raw["grid_points"])
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"grid_points must be an integer, got {raw['grid_points']!r}") from exc
+            raise SchemaError("grid needs all of grid_start, grid_stop, grid_points")
         kwargs["grid"] = GridSpec(
             start=parse_angle(raw["grid_start"]),
             stop=parse_angle(raw["grid_stop"]),
-            points=points,
+            points=_integer("grid_points", raw["grid_points"]),
         )
 
     config = ScenarioConfig(**kwargs)

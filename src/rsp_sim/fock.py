@@ -3,7 +3,9 @@
 Pure states are sparse maps from occupation vectors to complex amplitudes
 over an ordered set of polarization modes; mixed states are dense matrices
 over an explicit occupation basis. Every operation conserves total photon
-number.
+number. Dense products are ``np.einsum`` calls: numpy builds their loops for
+its baseline CPU (no FMA on x86-64) and they call no BLAS, so their bits do
+not depend on the host's SIMD dispatch or BLAS kernels.
 """
 
 from __future__ import annotations
@@ -323,9 +325,21 @@ class DensityOperator:
 
 def to_density(state: FockState) -> DensityOperator:
     """Rank-1 projector |s><s| on the span of the state's occupation vectors."""
-    basis = tuple(sorted(state.amps))
-    v = np.array([state.amps[occ] for occ in basis], dtype=complex)
-    return DensityOperator(state.modes, basis, np.outer(v, v.conj()))
+    return white_noise_mixture(state, sorted(state.amps), 1.0)
+
+
+def white_noise_mixture(
+    ket: FockState, basis: Iterable[tuple[int, ...]], p: float
+) -> DensityOperator:
+    """p |ket><ket| + (1-p) I/d over the d entries of ``basis``, p in [0, 1];
+    the ket's amplitudes outside ``basis`` are dropped."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"mixture weight p={p} outside [0, 1]")
+    basis = tuple(basis)
+    d = len(basis)
+    v = np.array([ket.amps.get(occ, 0j) for occ in basis], dtype=complex)
+    matrix = p * np.einsum("i,j->ij", v, v.conj()) + (1.0 - p) / d * np.eye(d)
+    return DensityOperator(ket.modes, basis, matrix)
 
 
 def expectation(rho: DensityOperator, ket: FockState) -> float:
@@ -333,7 +347,7 @@ def expectation(rho: DensityOperator, ket: FockState) -> float:
     if ket.modes != rho.modes:
         raise ModeMismatchError("ket and operator live on different mode sets")
     v = np.array([ket.amps.get(occ, 0j) for occ in rho.basis], dtype=complex)
-    return float((v.conj() @ rho.matrix @ v).real)
+    return float(np.einsum("i,ij,j->", v.conj(), rho.matrix, v).real)
 
 
 def operator_distance(a: DensityOperator, b: DensityOperator) -> float:

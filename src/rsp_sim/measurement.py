@@ -6,6 +6,8 @@ matches is structurally impossible; any matching pattern heralds, however
 small its probability. Alice's projection and her partial polarizer are one
 contraction over the split of the occupation basis into measured ("on") and
 remaining ("rest") modes; an outcome below ``PROB_FLOOR`` is zero probability.
+Its products are ``np.einsum`` calls, not numpy's SIMD-dispatched complex
+multiply, so the last bit does not depend on the host's SIMD level.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .fock import (
     ModeMismatchError,
     _checked_basis,
     to_density,
+    white_noise_mixture,
 )
 
 PROB_FLOOR = 1e-15
@@ -195,17 +198,13 @@ class PovmElement:
 def partial_polarizer_povm(phi: Projector, p: float) -> PovmElement:
     """Weighted projection p |phi><phi| + (1-p) I/2 on a single-photon pair
     of modes; p = 1 is a sharp projector, p = 0 leaves the photon unmeasured."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"projection strength p={p} outside [0, 1]")
     target = phi.target
     if len(target.modes) != 2 or target.total_photons != 1:
         raise ModeMismatchError(
             "partial polarizer acts on a single photon in a two-mode basis"
         )
-    basis = ((0, 1), (1, 0))
-    v = np.array([target.amps.get(occ, 0j) for occ in basis], dtype=complex)
-    op = p * np.outer(v, v.conj()) + (1.0 - p) / 2.0 * np.eye(2)
-    return PovmElement(target.modes, basis, op)
+    mixture = white_noise_mixture(target, ((0, 1), (1, 0)), p)
+    return PovmElement(mixture.modes, mixture.basis, mixture.matrix)
 
 
 def condition_on_povm(
@@ -233,13 +232,7 @@ def condition_on_povm(
     on_pos = np.array([index.get(key, -1) for key in on_keys], dtype=np.intp)
     weights = padded[on_pos[None, :], on_pos[:, None]]
     rows, cols = np.nonzero(weights)
-    w, r = weights[rows, cols], rho.matrix[rows, cols]
-    # the products are spelled out in real arithmetic: numpy's complex multiply
-    # loop may fuse them into FMA on SIMD hosts, which moves the last bit away
-    # from scalar products and from one host to another
-    terms = np.empty(len(rows), dtype=complex)
-    terms.real = w.real * r.real - w.imag * r.imag
-    terms.imag = w.real * r.imag + w.imag * r.real
+    terms = np.einsum("i,i->i", weights[rows, cols], rho.matrix[rows, cols])
     out = np.zeros((len(rest_basis), len(rest_basis)), dtype=complex)
     np.add.at(out, (rest_pos[rows], rest_pos[cols]), terms)
     probability = float(np.trace(out).real)

@@ -34,6 +34,7 @@ from .fock import (
     make_fock,
     superpose,
     to_density,
+    white_noise_mixture,
     without_modes,
 )
 from .measurement import (
@@ -145,11 +146,8 @@ def closed_form_bob_ket(n: int, gamma: float, theta: float) -> FockState:
 
 def closed_form_bob_density(n: int, gamma: float, theta: float, p: float) -> DensityOperator:
     """Analytic target p |psi><psi| + (1-p) I/2 on Bob's two-branch basis."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
-    pure = to_density(closed_form_bob_ket(n, gamma, theta))
-    matrix = p * pure.matrix + (1.0 - p) / 2.0 * np.eye(2, dtype=complex)
-    return DensityOperator(pure.modes, pure.basis, matrix)
+    ket = closed_form_bob_ket(n, gamma, theta)
+    return white_noise_mixture(ket, ((n - 1, n), (n, n - 1)), p)
 
 
 def _prepared(settings: RspSettings):

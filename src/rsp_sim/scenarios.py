@@ -8,7 +8,7 @@ is fixed per experiment so CSV output stays stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -38,24 +38,10 @@ class ResultRecord:
 
 
 def _scenario_echo(config: ScenarioConfig) -> dict:
-    return {
-        "experiment": config.experiment,
-        "n_pairs": config.n_pairs,
-        "gamma": config.gamma,
-        "theta": config.theta,
-        "p_strength": config.p_strength,
-        "distinguishability": config.distinguishability,
-        "grid": None
-        if config.grid is None
-        else {
-            "start": config.grid.start,
-            "stop": config.grid.stop,
-            "points": config.grid.points,
-        },
-        "shots": config.shots,
-        "seed": config.seed,
-        "trials": config.trials,
-    }
+    """Every config field but the output destination and format."""
+    echo = asdict(config)
+    del echo["output"], echo["format"]
+    return echo
 
 
 def _settings(config: ScenarioConfig, p: float | None = None) -> RspSettings:
@@ -155,22 +141,12 @@ def _run_fringe(config: ScenarioConfig, axis: str, knob: str):
     return tuple(columns), points, summary
 
 
-def _run_phase_fringe(config: ScenarioConfig):
-    return _run_fringe(config, "phase_phi", "phi")
-
-
-def _run_amplitude_fringe(config: ScenarioConfig):
-    return _run_fringe(config, "angle_delta", "delta")
-
-
 def _run_mixed_state(config: ScenarioConfig):
     n, gamma, theta = config.n_pairs, config.gamma, config.theta
     target = protocol.closed_form_bob_ket(n, gamma, theta)
     points = []
     worst_entry = worst_purity = worst_fidelity = 0.0
     for p in config.grid.values():
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"mixed_state grid value p={p} outside [0, 1]")
         outcome = protocol.rsp_mixed(_settings(config, p=p))
         purity, fidelity = analysis.purity_and_fidelity(outcome.bob_state, target)
         entry_error = operator_distance(
@@ -286,8 +262,8 @@ def _run_distinguishability(config: ScenarioConfig):
 
 _RUNNERS = {
     "chsh": _run_chsh,
-    "phase_fringe": _run_phase_fringe,
-    "amplitude_fringe": _run_amplitude_fringe,
+    "phase_fringe": lambda config: _run_fringe(config, "phase_phi", "phi"),
+    "amplitude_fringe": lambda config: _run_fringe(config, "angle_delta", "delta"),
     "mixed_state": _run_mixed_state,
     "populations": _run_populations,
     "general_n": _run_general_n,

@@ -268,3 +268,13 @@ def test_json_records_validate_against_shipped_schema(tmp_path):
         out = tmp_path / f"{name}.json"
         assert cli.main(["preset", name, "--out", str(out)]) == 0
         validator.validate(json.loads(out.read_text()))
+
+
+def test_mixed_state_runs_where_one_branch_vanishes(tmp_path):
+    cfg = tmp_path / "mixed.json"
+    cfg.write_text(json.dumps({"experiment": "mixed_state", "gamma": 0, "seed": 1,
+                               "grid": {"start": 0, "stop": 1, "points": 3}}))
+    out = tmp_path / "mixed_out.json"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())["summary"]
+    assert max(summary.values()) < 1e-12

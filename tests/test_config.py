@@ -4,6 +4,7 @@ import math
 import pytest
 
 from rsp_sim import GridSpec, ScenarioConfig, SchemaError, load_config, parse_angle
+from rsp_sim.config import MAX_GRID_POINTS, MAX_SHOTS, MAX_TRIALS, config_from_mapping
 
 
 @pytest.mark.parametrize(
@@ -159,3 +160,59 @@ def test_source_size_capped_where_the_splitter_overflows():
 def test_grid_values_are_inclusive():
     grid = GridSpec(0.0, 1.0, 5)
     assert grid.values() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"n_pairs": 2.7},
+        {"n_pairs": True},
+        {"shots": 100.5, "seed": 1},
+        {"shots": 100, "seed": 1.5},
+        {"trials": False},
+        {"n_pairs": math.inf},
+        {"n_pairs": math.nan},
+        {"grid_start": 0, "grid_stop": 1, "grid_points": 3.9},
+    ],
+    ids=[
+        "fractional-n_pairs", "bool-n_pairs", "fractional-shots", "fractional-seed",
+        "bool-trials", "inf-n_pairs", "nan-n_pairs", "fractional-grid_points",
+    ],
+)
+def test_integer_keys_reject_bools_and_fractions(raw):
+    with pytest.raises(SchemaError, match="integer"):
+        config_from_mapping({"experiment": "phase_fringe", "grid_start": 0,
+                             "grid_stop": 1, "grid_points": 3, **raw})
+
+
+def test_integer_keys_accept_integral_numbers_and_strings():
+    config = config_from_mapping(
+        {"experiment": "general_n", "grid_start": 1, "grid_stop": 2,
+         "grid_points": 2.0, "trials": "3", "seed": 0}
+    )
+    assert (config.grid.points, config.trials, config.seed) == (2, 3, 0)
+
+
+def test_work_caps_reject_unbounded_configs():
+    fringe = {"experiment": "phase_fringe", "grid_start": 0, "grid_stop": 1}
+    config_from_mapping({**fringe, "grid_points": MAX_GRID_POINTS})
+    ScenarioConfig(experiment="chsh", shots=MAX_SHOTS, seed=1).validate()
+    ScenarioConfig(experiment="chsh", trials=MAX_TRIALS).validate()
+    with pytest.raises(SchemaError, match="grid points"):
+        config_from_mapping({**fringe, "grid_points": 1e20})
+    with pytest.raises(SchemaError, match="shots"):
+        ScenarioConfig(experiment="chsh", shots=10**20, seed=1).validate()
+    with pytest.raises(SchemaError, match="trials"):
+        ScenarioConfig(experiment="chsh", trials=MAX_TRIALS + 1).validate()
+    with pytest.raises(SchemaError, match="seed"):
+        ScenarioConfig(experiment="chsh", seed=-1).validate()
+
+
+def test_mixed_state_grid_is_checked_before_the_run():
+    config_from_mapping(
+        {"experiment": "mixed_state", "grid_start": 0, "grid_stop": 1, "grid_points": 5}
+    )
+    with pytest.raises(SchemaError, match="mixed_state"):
+        config_from_mapping(
+            {"experiment": "mixed_state", "grid_start": 0, "grid_stop": 1.5, "grid_points": 4}
+        )

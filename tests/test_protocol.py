@@ -210,3 +210,10 @@ def test_settings_validation():
         RspSettings(p_strength=1.5)
     with pytest.raises(ValueError):
         RspSettings(distinguishability=-0.2)
+
+
+def test_closed_form_density_keeps_both_branches_when_one_amplitude_vanishes():
+    # at gamma = 0 the |n_H,(n-1)_V> amplitude is cos(pi/2), pruned as a zero
+    rho = closed_form_bob_density(2, 0.0, 0.0, 0.5)
+    assert rho.basis == ((1, 2), (2, 1))
+    assert np.allclose(rho.matrix, np.diag([0.75, 0.25]), atol=1e-15)
