@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -22,7 +23,7 @@ from pathlib import Path
 from .config import FORMATS, ScenarioConfig, SchemaError, load_config
 from .measurement import ImpossibleHeraldError, ZeroProbabilityError
 from .presets import PRESETS, list_presets
-from .scenarios import ResultRecord, run_scenario
+from .scenarios import run_scenario
 
 
 def _format_value(value) -> str:
@@ -31,35 +32,39 @@ def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        # JSON refuses NaN and inf too (allow_nan=False)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {value!r} in the record")
         return format(value, ".12g")
     return str(value)
 
 
-def render_csv(record: ResultRecord) -> str:
+def render_csv(record: dict) -> str:
+    """Scenario, summary and timestamp as comment lines, then one row per
+    point; the header is the first point's keys, which every point shares."""
     buf = io.StringIO()
-    buf.write(f"# rsp-sim {record.tool_version}\n")
-    for key in sorted(record.scenario):
-        value = record.scenario[key]
+    buf.write(f"# rsp-sim {record['tool_version']}\n")
+    for key, value in sorted(record["scenario"].items()):
         if isinstance(value, dict):
             for sub in sorted(value):
                 buf.write(f"# {key}.{sub} = {_format_value(value[sub])}\n")
         else:
             buf.write(f"# {key} = {_format_value(value)}\n")
-    for key in sorted(record.summary):
-        buf.write(f"# summary.{key} = {_format_value(record.summary[key])}\n")
-    buf.write(f"# timestamp = {_format_value(record.timestamp)}\n")
+    for key, value in sorted(record["summary"].items()):
+        buf.write(f"# summary.{key} = {_format_value(value)}\n")
+    buf.write(f"# timestamp = {_format_value(record['timestamp'])}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(record.columns)
-    for point in record.points:
-        writer.writerow([_format_value(point.get(col)) for col in record.columns])
+    writer.writerow(record["points"][0])
+    for point in record["points"]:
+        writer.writerow([_format_value(value) for value in point.values()])
     return buf.getvalue()
 
 
-def render_json(record: ResultRecord) -> str:
-    return json.dumps(record.as_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
+def render_json(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def write_record(record: ResultRecord, out: str | None, fmt: str) -> None:
+def write_record(record: dict, out: str | None, fmt: str) -> None:
     text = render_csv(record) if fmt == "csv" else render_json(record)
     if out is None:
         sys.stdout.write(text)

@@ -187,6 +187,16 @@ def _integer(key: str, value: Any) -> int:
         raise SchemaError(f"{key} must be an integer, got {value!r}") from exc
 
 
+def _number(key: str, value: Any) -> float:
+    """A number or a numeric string; a bool is rejected, not read as 1 or 0."""
+    if isinstance(value, bool):
+        raise SchemaError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{key} must be a number, got {value!r}") from exc
+
+
 def config_from_mapping(raw: dict[str, Any]) -> ScenarioConfig:
     """Build and validate a ScenarioConfig from loosely typed key/values."""
     unknown = set(raw) - _ALL_KEYS
@@ -201,10 +211,7 @@ def config_from_mapping(raw: dict[str, Any]) -> ScenarioConfig:
             kwargs[key] = parse_angle(raw[key])
     for key in ("p_strength", "distinguishability"):
         if key in raw:
-            try:
-                kwargs[key] = float(raw[key])
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"{key} must be a number, got {raw[key]!r}") from exc
+            kwargs[key] = _number(key, raw[key])
     for key in ("n_pairs", "shots", "seed", "trials"):
         if key in raw and raw[key] is not None:
             kwargs[key] = _integer(key, raw[key])

@@ -1,14 +1,15 @@
-"""Turn a validated ScenarioConfig into a ResultRecord.
+"""Turn a validated ScenarioConfig into a result dict.
 
-Each experiment produces a list of per-point dicts (one per grid value,
-correlation setting, or state component) plus a summary dict. Column order
-is fixed per experiment so CSV output stays stable.
+Each experiment's runner returns a list of per-point dicts (one per grid
+value, correlation setting, or state component) and a summary dict. Every
+point of a run has the same keys in the same order, and that order is the
+CSV column order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -17,25 +18,6 @@ from . import __version__, analysis, protocol
 from .config import ScenarioConfig
 from .fock import inner_product, occupation_label, operator_distance
 from .protocol import RspSettings
-
-@dataclass(frozen=True)
-class ResultRecord:
-    scenario: dict
-    columns: tuple[str, ...]
-    points: list[dict]
-    summary: dict
-    tool_version: str
-    timestamp: str | None
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "points": self.points,
-            "summary": self.summary,
-            "tool_version": self.tool_version,
-            "timestamp": self.timestamp,
-        }
-
 
 def _scenario_echo(config: ScenarioConfig) -> dict:
     """Every config field but the output destination and format."""
@@ -54,32 +36,27 @@ def _settings(config: ScenarioConfig, p: float | None = None) -> RspSettings:
     )
 
 
-def run_scenario(config: ScenarioConfig) -> ResultRecord:
+def run_scenario(config: ScenarioConfig) -> dict:
     config.validate()
-    runner = _RUNNERS[config.experiment]
-    columns, points, summary = runner(config)
+    points, summary = _RUNNERS[config.experiment](config)
     # a seeded scenario is a reproducibility contract: no volatile fields
     timestamp = (
         None
         if config.seed is not None
         else datetime.now(timezone.utc).isoformat()
     )
-    return ResultRecord(
-        scenario=_scenario_echo(config),
-        columns=columns,
-        points=points,
-        summary=summary,
-        tool_version=__version__,
-        timestamp=timestamp,
-    )
+    return {
+        "scenario": _scenario_echo(config),
+        "points": points,
+        "summary": summary,
+        "tool_version": __version__,
+        "timestamp": timestamp,
+    }
 
 
 def _run_chsh(config: ScenarioConfig):
     state = analysis.white_noise_shared_state(config.n_pairs, config.p_strength)
     rng = np.random.default_rng(config.seed) if config.shots else None
-    columns = ["s_obs", "t_obs", "correlation", "n_pp", "n_pm", "n_mp", "n_mm"]
-    if config.shots:
-        columns += ["sampled_correlation", "c_pp", "c_pm", "c_mp", "c_mm"]
     points = []
     for s_kind, t_kind in analysis.CHSH_SETTINGS:
         value, table = analysis.correlation(state, s_kind, t_kind, config.n_pairs)
@@ -105,19 +82,17 @@ def _run_chsh(config: ScenarioConfig):
     summary = {"chsh": analysis.chsh_value([p["correlation"] for p in points])}
     if config.shots:
         summary["sampled_chsh"] = analysis.chsh_value([p["sampled_correlation"] for p in points])
-    return tuple(columns), points, summary
+    return points, summary
 
 
 def _run_fringe(config: ScenarioConfig, axis: str, knob: str):
     grid = config.grid.values()
     scan = analysis.fringe_scan(_settings(config), axis, grid)
-    columns = [knob, "probability"]
     sampled = None
     if config.shots:
         sampled = analysis.sample_fringe_scan(
             scan, config.shots, np.random.default_rng(config.seed)
         )
-        columns += ["counts", "estimated_probability"]
     points = []
     for i, x in enumerate(scan.grid):
         point = {knob: x, "probability": scan.probabilities[i]}
@@ -138,39 +113,32 @@ def _run_fringe(config: ScenarioConfig, axis: str, knob: str):
     if sampled:
         summary["sampled_visibility"] = sampled.fitted_visibility
         summary["sampled_offset"] = sampled.fitted_offset
-    return tuple(columns), points, summary
+    return points, summary
 
 
 def _run_mixed_state(config: ScenarioConfig):
     n, gamma, theta = config.n_pairs, config.gamma, config.theta
     target = protocol.closed_form_bob_ket(n, gamma, theta)
     points = []
-    worst_entry = worst_purity = worst_fidelity = 0.0
     for p in config.grid.values():
         outcome = protocol.rsp_mixed(_settings(config, p=p))
         purity, fidelity = analysis.purity_and_fidelity(outcome.bob_state, target)
         entry_error = operator_distance(
             outcome.bob_state, protocol.closed_form_bob_density(n, gamma, theta, p)
         )
-        purity_error = abs(purity - (1.0 + p * p) / 2.0)
-        fidelity_error = abs(fidelity - (1.0 + p) / 2.0)
-        worst_entry = max(worst_entry, entry_error)
-        worst_purity = max(worst_purity, purity_error)
-        worst_fidelity = max(worst_fidelity, fidelity_error)
         points.append(
-            {
-                "p": p,
-                "purity": purity,
-                "fidelity": fidelity,
-                "entry_error": entry_error,
-            }
+            {"p": p, "purity": purity, "fidelity": fidelity, "entry_error": entry_error}
         )
     summary = {
-        "max_entry_error": worst_entry,
-        "max_purity_error": worst_purity,
-        "max_fidelity_error": worst_fidelity,
+        "max_entry_error": max(pt["entry_error"] for pt in points),
+        "max_purity_error": max(
+            abs(pt["purity"] - (1.0 + pt["p"] * pt["p"]) / 2.0) for pt in points
+        ),
+        "max_fidelity_error": max(
+            abs(pt["fidelity"] - (1.0 + pt["p"]) / 2.0) for pt in points
+        ),
     }
-    return ("p", "purity", "fidelity", "entry_error"), points, summary
+    return points, summary
 
 
 def _run_populations(config: ScenarioConfig):
@@ -182,23 +150,19 @@ def _run_populations(config: ScenarioConfig):
     for h in range(total_photons, -1, -1):
         occ = (h, total_photons - h)
         points.append(
-            {
-                "component": occupation_label(modes, occ),
-                "population": populations.get(occ, 0.0),
-            }
+            {"component": occupation_label(modes, occ), "population": populations.get(occ, 0.0)}
         )
     extremes = max(points[0]["population"], points[-1]["population"])
     summary = {
         "population_sum": sum(p["population"] for p in points),
         "extreme_population": extremes,
     }
-    return ("component", "population"), points, summary
+    return points, summary
 
 
 def _run_general_n(config: ScenarioConfig):
     rng = np.random.default_rng(config.seed)
     points = []
-    worst_pure = worst_mixed = 0.0
     for value in config.grid.values():
         n = int(round(value))
         for trial in range(config.trials):
@@ -207,16 +171,9 @@ def _run_general_n(config: ScenarioConfig):
             p = float(rng.uniform(0.0, 1.0))
             pure = protocol.rsp_pure(RspSettings(n_pairs=n, gamma=gamma, theta=theta))
             target = protocol.closed_form_bob_ket(n, gamma, theta)
-            pure_error = abs(1.0 - abs(inner_product(target, pure.bob_ket)))
             mixed = protocol.rsp_mixed(
                 RspSettings(n_pairs=n, gamma=gamma, theta=theta, p_strength=p)
             )
-            mixed_error = operator_distance(
-                mixed.bob_state,
-                protocol.closed_form_bob_density(n, gamma, theta, p),
-            )
-            worst_pure = max(worst_pure, pure_error)
-            worst_mixed = max(worst_mixed, mixed_error)
             points.append(
                 {
                     "n": n,
@@ -224,40 +181,35 @@ def _run_general_n(config: ScenarioConfig):
                     "gamma": gamma,
                     "theta": theta,
                     "p": p,
-                    "pure_overlap_error": pure_error,
-                    "mixed_entry_error": mixed_error,
+                    "pure_overlap_error": abs(1.0 - abs(inner_product(target, pure.bob_ket))),
+                    "mixed_entry_error": operator_distance(
+                        mixed.bob_state, protocol.closed_form_bob_density(n, gamma, theta, p)
+                    ),
                 }
             )
     summary = {
-        "max_pure_overlap_error": worst_pure,
-        "max_mixed_entry_error": worst_mixed,
+        "max_pure_overlap_error": max(pt["pure_overlap_error"] for pt in points),
+        "max_mixed_entry_error": max(pt["mixed_entry_error"] for pt in points),
     }
-    columns = (
-        "n", "trial", "gamma", "theta", "p",
-        "pure_overlap_error", "mixed_entry_error",
-    )
-    return columns, points, summary
+    return points, summary
 
 
 def _run_distinguishability(config: ScenarioConfig):
     report = protocol.distinguishability_demo(_settings(config, p=1.0))
-    points = []
-    aux_pos = next(
-        i for i, m in enumerate(report.modes) if m.tag > 0
-    )
-    for occ in sorted(report.populations):
-        points.append(
-            {
-                "component": occupation_label(report.modes, occ),
-                "population": report.populations[occ],
-                "tagged": occ[aux_pos] > 0,
-            }
-        )
+    aux_pos = next(i for i, m in enumerate(report.modes) if m.tag > 0)
+    points = [
+        {
+            "component": occupation_label(report.modes, occ),
+            "population": report.populations[occ],
+            "tagged": occ[aux_pos] > 0,
+        }
+        for occ in sorted(report.populations)
+    ]
     summary = {
         "tagged_population": report.tagged_total,
         "distinguishability": report.distinguishability,
     }
-    return ("component", "population", "tagged"), points, summary
+    return points, summary
 
 
 _RUNNERS = {

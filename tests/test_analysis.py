@@ -181,8 +181,8 @@ def test_chsh_scenario_builds_one_count_table_per_setting(monkeypatch):
     monkeypatch.setattr(analysis, "count_table", counting)
     record = scenarios.run_scenario(ScenarioConfig(experiment="chsh", shots=100, seed=1))
     assert calls == list(analysis.CHSH_SETTINGS)
-    assert record.summary["chsh"] == analysis.chsh_value(
-        [point["correlation"] for point in record.points]
+    assert record["summary"]["chsh"] == analysis.chsh_value(
+        [point["correlation"] for point in record["points"]]
     )
 
 

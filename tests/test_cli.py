@@ -1,10 +1,12 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 import rsp_sim.cli as cli
-from rsp_sim import PRESETS, ZeroProbabilityError, list_presets
+from rsp_sim import GridSpec, PRESETS, ScenarioConfig, ZeroProbabilityError, list_presets
+from rsp_sim.config import EXPERIMENTS
 
 EXPECTED_PRESETS = [
     "eq10_general_n",
@@ -103,9 +105,48 @@ def test_source_size_past_float_range_exits_2(tmp_path, capsys, monkeypatch):
 
 def test_json_rendering_refuses_nan():
     record = cli.run_scenario(PRESETS["fig3_populations"])
-    record.summary["bad"] = math.nan
+    record["summary"]["bad"] = math.nan
     with pytest.raises(ValueError):
         cli.render_json(record)
+
+
+def test_csv_rendering_refuses_nan():
+    record = cli.run_scenario(PRESETS["fig3_populations"])
+    record["summary"]["bad"] = math.nan
+    with pytest.raises(ValueError):
+        cli.render_csv(record)
+    del record["summary"]["bad"]
+    record["points"][0]["population"] = math.inf
+    with pytest.raises(ValueError):
+        cli.render_csv(record)
+
+
+_GRID = GridSpec(0.0, 1.0, 3)
+SMALL_CONFIGS = {
+    "chsh": ScenarioConfig(experiment="chsh"),
+    "phase_fringe": ScenarioConfig(experiment="phase_fringe", grid=_GRID),
+    "amplitude_fringe": ScenarioConfig(experiment="amplitude_fringe", grid=_GRID),
+    "mixed_state": ScenarioConfig(experiment="mixed_state", grid=_GRID),
+    "populations": ScenarioConfig(experiment="populations"),
+    "general_n": ScenarioConfig(experiment="general_n", grid=GridSpec(1, 2, 2), trials=2),
+    "distinguishability_demo": ScenarioConfig(
+        experiment="distinguishability_demo", distinguishability=0.5
+    ),
+}
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["plain", "sampled"])
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_csv_header_is_the_keys_every_point_shares(experiment, sampled):
+    config = SMALL_CONFIGS[experiment]
+    if sampled:
+        config = replace(config, shots=1000, seed=3)
+    record = cli.run_scenario(config)
+    keys = list(record["points"][0])
+    assert all(list(point) == keys for point in record["points"])
+    rows = [ln for ln in cli.render_csv(record).splitlines() if not ln.startswith("#")]
+    assert rows[0] == ",".join(keys)
+    assert len(rows) == 1 + len(record["points"])
 
 
 def test_unknown_preset_exits_2(capsys):

@@ -185,6 +185,13 @@ def test_integer_keys_reject_bools_and_fractions(raw):
                              "grid_stop": 1, "grid_points": 3, **raw})
 
 
+@pytest.mark.parametrize("value", [True, False, "half", None])
+@pytest.mark.parametrize("key", ["p_strength", "distinguishability"])
+def test_number_keys_reject_bools_and_non_numbers(key, value):
+    with pytest.raises(SchemaError, match=f"{key} must be a number"):
+        config_from_mapping({"experiment": "chsh", key: value})
+
+
 def test_integer_keys_accept_integral_numbers_and_strings():
     config = config_from_mapping(
         {"experiment": "general_n", "grid_start": 1, "grid_stop": 2,
