@@ -46,9 +46,6 @@ from .measurement import (
     project,
 )
 from .protocol import (
-    DistinguishabilityReport,
-    RspOutcome,
-    RspSettings,
     alice_measurement_ket,
     bob_measurement_ket,
     build_source,

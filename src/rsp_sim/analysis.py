@@ -36,7 +36,6 @@ from .fock import (
     to_density,
     white_noise_mixture,
 )
-from .protocol import RspSettings
 
 ROUTE_TOL = 1e-12     # operator route vs counts route agreement
 LEAK_TOL = 1e-9       # tolerated population outside the qubit subspace
@@ -204,7 +203,6 @@ class FringeScan:
     probabilities: tuple[float, ...]
     fitted_visibility: float
     fitted_offset: float | None
-    degenerate: bool
     frequency: float
     counts: tuple[int, ...] | None = None
     estimated: tuple[float, ...] | None = None
@@ -235,9 +233,10 @@ def fit_fringe(
 
 
 def fringe_scan(
-    settings: RspSettings, axis: str, grid: Sequence[float]
+    rho: DensityOperator, n: int, axis: str, grid: Sequence[float]
 ) -> FringeScan:
-    """Scan Bob's projection probability along a phase or analyzer-angle grid.
+    """Scan the projection probability of Bob's state ``rho`` on his 2n-1
+    photons along a phase or analyzer-angle grid.
 
     ``phase_phi`` varies the analyzer phase phi at fixed delta = pi/8 and
     fits a period-2pi sinusoid whose offset recovers theta. ``angle_delta``
@@ -248,18 +247,15 @@ def fringe_scan(
         raise ValueError(f"unknown scan axis {axis!r}")
     if len(grid) == 0:
         raise ValueError("empty scan grid")
-    outcome = protocol.rsp_mixed(settings)
-    n = settings.n_pairs
     probs = []
     for x in grid:
         if axis == "phase_phi":
             ket = protocol.bob_measurement_ket(n, math.pi / 8, phi=float(x))
         else:
             ket = protocol.bob_measurement_ket(n, float(x), phi=0.0)
-        probs.append(expectation(outcome.bob_state, ket))
+        probs.append(expectation(rho, ket))
     frequency = 1.0 if axis == "phase_phi" else 4.0
     mean, amplitude, offset = fit_fringe(grid, probs, frequency)
-    degenerate = offset is None
     visibility = 0.0 if mean <= FIT_FLOOR else amplitude / mean
     return FringeScan(
         axis=axis,
@@ -267,7 +263,6 @@ def fringe_scan(
         probabilities=tuple(probs),
         fitted_visibility=visibility,
         fitted_offset=offset,
-        degenerate=degenerate,
         frequency=frequency,
     )
 
@@ -343,7 +338,6 @@ def sample_fringe_scan(scan: FringeScan, shots: int, seed) -> FringeScan:
         scan,
         fitted_visibility=visibility,
         fitted_offset=offset,
-        degenerate=offset is None,
         counts=tuple(counts),
         estimated=tuple(estimated),
     )

@@ -116,20 +116,16 @@ class Projector:
 def _split_on_rest(
     modes: tuple[Mode, ...],
     basis: Sequence[tuple[int, ...]],
-    support: tuple[Mode, ...],
-    on: Iterable[Mode] | None,
+    on: tuple[Mode, ...],
     what: str,
 ):
     """Index ``basis`` over ``modes`` as on (x) rest.
 
-    The measured "on" modes default to the measurement's ``support``; they
-    must equal it as a set and be a strict subset of ``modes``. Returns each
-    ket's on-key, each ket's position in the sorted rest basis, that rest
-    basis, and the rest modes.
+    The measured "on" modes are the measurement's own modes and must be a
+    strict subset of ``modes``. Returns each ket's on-key, each ket's
+    position in the sorted rest basis, that rest basis, and the rest modes.
     """
-    on_set = set(support if on is None else on)
-    if on_set != set(support):
-        raise ModeMismatchError(f"{what} support does not match the given modes")
+    on_set = set(on)
     if not on_set < set(modes):
         raise ModeMismatchError(f"{what} must act on a strict subset of the state's modes")
     on_idx = [i for i, m in enumerate(modes) if m in on_set]
@@ -142,12 +138,8 @@ def _split_on_rest(
     return on_keys, rest_pos, rest_basis, tuple(modes[i] for i in rest_idx)
 
 
-def project(
-    state: FockState,
-    proj: Projector,
-    on: Iterable[Mode] | None = None,
-) -> tuple[float, FockState]:
-    """Project the ``on`` subsystem onto ``proj`` and return what remains.
+def project(state: FockState, proj: Projector) -> tuple[float, FockState]:
+    """Project the target's modes onto ``proj`` and return what remains.
 
     Probability is ||(<phi| (x) I)|s>||^2; the remote state is the
     renormalized residual, living on the modes not projected.
@@ -155,7 +147,7 @@ def project(
     target = proj.target
     kets = state.items()
     on_keys, rest_pos, rest_basis, rest_modes = _split_on_rest(
-        state.modes, [occ for occ, _ in kets], target.modes, on, "projector"
+        state.modes, [occ for occ, _ in kets], target.modes, "projector"
     )
     # on keys list the on modes in canonical order, as the target's keys do
     hit = [k for k, key in enumerate(on_keys) if key in target.amps]
@@ -210,9 +202,8 @@ def partial_polarizer_povm(phi: Projector, p: float) -> PovmElement:
 def condition_on_povm(
     state_or_rho: FockState | DensityOperator,
     element: PovmElement,
-    on: Iterable[Mode] | None = None,
 ) -> tuple[float, DensityOperator]:
-    """Apply a POVM element to the ``on`` subsystem and trace it out.
+    """Apply a POVM element to its own modes and trace them out.
 
     Returns the outcome probability Tr(E rho) and the conditional state
     Tr_on(E rho) / Tr(E rho) on the remaining modes. Pure-state inputs are
@@ -221,7 +212,7 @@ def condition_on_povm(
     """
     rho = to_density(state_or_rho) if isinstance(state_or_rho, FockState) else state_or_rho
     on_keys, rest_pos, rest_basis, rest_modes = _split_on_rest(
-        rho.modes, rho.basis, element.modes, on, "POVM"
+        rho.modes, rho.basis, element.modes, "POVM"
     )
     # rho_B[r, r'] = sum_{a, c} E[a, c] rho[(c, r), (a, r')]; on keys outside
     # the element's basis index its zero padding row and column

@@ -8,12 +8,16 @@ a sharp projection prepares a pure superposition of |n_H,(n-1)_V> and
 |(n-1)_H,n_V>, a partial projection of strength p prepares the matching
 rank-2 mixture. Everything downstream of the source is computed by
 simulating the optical elements, never by inserting the closed forms.
+
+Each stage takes the value the previous one returned. ``shared_state(n)``
+depends only on the source size, so a caller builds it once per n and
+passes it to ``rsp_pure`` or ``rsp_mixed`` for every setting of Alice's
+instrument; ``distinguishability_demo`` takes the ket ``rsp_pure`` made.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +37,6 @@ from .fock import (
     extend_modes,
     make_fock,
     superpose,
-    to_density,
     white_noise_mixture,
     without_modes,
 )
@@ -47,43 +50,6 @@ from .measurement import (
 )
 
 BOB_V_AUX = Mode(Location.BOB, Polarization.V, tag=1)
-
-
-@dataclass(frozen=True)
-class RspSettings:
-    """Instrument settings for one preparation run.
-
-    gamma is the measurement half-wave-plate angle, theta the phase-shifter
-    setting, p_strength the partial-polarizer projection strength, and
-    distinguishability the per-photon overlap used by the decoherence
-    contrast demo (1 = fully indistinguishable).
-    """
-
-    n_pairs: int = 2
-    gamma: float = math.pi / 8
-    theta: float = 0.0
-    p_strength: float = 1.0
-    distinguishability: float = 1.0
-
-    def __post_init__(self):
-        if self.n_pairs < 1:
-            raise ValueError(f"n_pairs must be >= 1, got {self.n_pairs}")
-        if not 0.0 <= self.p_strength <= 1.0:
-            raise ValueError(f"p_strength {self.p_strength} outside [0, 1]")
-        if not 0.0 <= self.distinguishability <= 1.0:
-            raise ValueError(
-                f"distinguishability {self.distinguishability} outside [0, 1]"
-            )
-
-
-@dataclass(frozen=True)
-class RspOutcome:
-    """Result of one preparation: conditioning probabilities and Bob's state."""
-
-    herald_probability: float
-    alice_probability: float
-    bob_state: DensityOperator
-    bob_ket: FockState | None = None
 
 
 def build_source(n: int) -> FockState:
@@ -150,61 +116,39 @@ def closed_form_bob_density(n: int, gamma: float, theta: float, p: float) -> Den
     return white_noise_mixture(ket, ((n - 1, n), (n, n - 1)), p)
 
 
-def _prepared(settings: RspSettings):
-    herald_probability, shared = shared_state(settings.n_pairs)
-    phi = Projector(alice_measurement_ket(settings.gamma, settings.theta))
-    return herald_probability, shared, phi
+def rsp_pure(shared: FockState, gamma: float, theta: float) -> tuple[float, FockState]:
+    """Remote preparation with a sharp single-photon projection (p = 1).
+
+    Projects Alice's photon of ``shared`` onto her measurement ket and
+    returns the outcome probability and Bob's ket.
+    """
+    return project(shared, Projector(alice_measurement_ket(gamma, theta)))
 
 
-def rsp_pure(settings: RspSettings) -> RspOutcome:
-    """Remote preparation with a sharp single-photon projection (p = 1)."""
-    if settings.p_strength != 1.0:
-        raise ValueError("rsp_pure requires p_strength = 1; use rsp_mixed instead")
-    herald_probability, shared, phi = _prepared(settings)
-    alice_probability, bob = project(shared, phi)
-    rho = to_density(bob)
-    return RspOutcome(herald_probability, alice_probability, rho, bob_ket=bob)
-
-
-def rsp_mixed(settings: RspSettings) -> RspOutcome:
+def rsp_mixed(
+    shared: FockState, gamma: float, theta: float, p: float
+) -> tuple[float, DensityOperator]:
     """Remote preparation through the partial polarizer of strength p.
 
-    At p = 1 this reduces to rsp_pure; at p = 0 Bob is left maximally mixed
-    on his two-branch basis.
+    Returns the outcome probability and Bob's state. At p = 1 this is
+    rsp_pure's state; at p = 0 Bob is left maximally mixed on his two-branch
+    basis.
     """
-    herald_probability, shared, phi = _prepared(settings)
-    element = partial_polarizer_povm(phi, settings.p_strength)
-    alice_probability, rho = condition_on_povm(shared, element)
-    return RspOutcome(herald_probability, alice_probability, rho)
+    phi = Projector(alice_measurement_ket(gamma, theta))
+    return condition_on_povm(shared, partial_polarizer_povm(phi, p))
 
 
-@dataclass(frozen=True)
-class DistinguishabilityReport:
-    """Populations of Bob's state after per-photon mode mixing.
-
-    ``tagged_total`` is the probability of finding at least one photon in
-    the auxiliary (distinguishable) mode.
-    """
-
-    modes: tuple[Mode, ...]
-    populations: dict[tuple[int, ...], float]
-    tagged_total: float
-    distinguishability: float
-
-
-def distinguishability_demo(settings: RspSettings) -> DistinguishabilityReport:
+def distinguishability_demo(bob_ket: FockState, d: float) -> FockState:
     """Mimic distinguishability-based decoherence on Bob's V photons.
 
-    Each vertically polarized photon is rotated into sqrt(d) principal +
-    sqrt(1-d) auxiliary mode. For d < 1 this populates components that lie
-    outside the two-branch basis, unlike the partial-polarizer route, which
-    never does.
+    Each vertically polarized photon of ``bob_ket`` is rotated into sqrt(d)
+    principal + sqrt(1-d) auxiliary mode, d in [0, 1]. For d < 1 this
+    populates components that lie outside the two-branch basis, unlike the
+    partial-polarizer route, which never does.
     """
-    d = settings.distinguishability
-    outcome = rsp_pure(
-        RspSettings(settings.n_pairs, settings.gamma, settings.theta, 1.0, 1.0)
-    )
-    ket = extend_modes(outcome.bob_ket, (BOB_V, BOB_V_AUX))
+    if not 0.0 <= d <= 1.0:
+        raise ValueError(f"distinguishability {d} outside [0, 1]")
+    ket = extend_modes(bob_ket, (BOB_V, BOB_V_AUX))
     mix = ModeUnitary(
         (BOB_V, BOB_V_AUX),
         np.array(
@@ -215,8 +159,4 @@ def distinguishability_demo(settings: RspSettings) -> DistinguishabilityReport:
             dtype=complex,
         ),
     )
-    mixed = apply(mix, ket)
-    aux_pos = mixed.modes.index(BOB_V_AUX)
-    populations = {occ: abs(amp) ** 2 for occ, amp in mixed.items()}
-    tagged_total = sum(pop for occ, pop in populations.items() if occ[aux_pos] > 0)
-    return DistinguishabilityReport(mixed.modes, populations, tagged_total, d)
+    return apply(mix, ket)

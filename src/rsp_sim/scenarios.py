@@ -3,7 +3,8 @@
 Each experiment's runner returns a list of per-point dicts (one per grid
 value, correlation setting, or state component) and a summary dict. Every
 point of a run has the same keys in the same order, and that order is the
-CSV column order.
+CSV column order. A runner builds ``protocol.shared_state(n)`` once for each
+distinct source size n and passes it to every preparation at that n.
 """
 
 from __future__ import annotations
@@ -17,23 +18,13 @@ import numpy as np
 from . import __version__, analysis, protocol
 from .config import ScenarioConfig
 from .fock import inner_product, occupation_label, operator_distance
-from .protocol import RspSettings
+
 
 def _scenario_echo(config: ScenarioConfig) -> dict:
     """Every config field but the output destination and format."""
     echo = asdict(config)
     del echo["output"], echo["format"]
     return echo
-
-
-def _settings(config: ScenarioConfig, p: float | None = None) -> RspSettings:
-    return RspSettings(
-        n_pairs=config.n_pairs,
-        gamma=config.gamma,
-        theta=config.theta,
-        p_strength=config.p_strength if p is None else p,
-        distinguishability=config.distinguishability,
-    )
 
 
 def run_scenario(config: ScenarioConfig) -> dict:
@@ -86,8 +77,9 @@ def _run_chsh(config: ScenarioConfig):
 
 
 def _run_fringe(config: ScenarioConfig, axis: str, knob: str):
-    grid = config.grid.values()
-    scan = analysis.fringe_scan(_settings(config), axis, grid)
+    _, shared = protocol.shared_state(config.n_pairs)
+    _, rho = protocol.rsp_mixed(shared, config.gamma, config.theta, config.p_strength)
+    scan = analysis.fringe_scan(rho, config.n_pairs, axis, config.grid.values())
     sampled = None
     if config.shots:
         sampled = analysis.sample_fringe_scan(
@@ -108,7 +100,7 @@ def _run_fringe(config: ScenarioConfig, axis: str, knob: str):
         "visibility": scan.fitted_visibility,
         "offset": scan.fitted_offset,
         "peak_location": peak,
-        "degenerate_fit": scan.degenerate,
+        "degenerate_fit": scan.fitted_offset is None,
     }
     if sampled:
         summary["sampled_visibility"] = sampled.fitted_visibility
@@ -119,12 +111,13 @@ def _run_fringe(config: ScenarioConfig, axis: str, knob: str):
 def _run_mixed_state(config: ScenarioConfig):
     n, gamma, theta = config.n_pairs, config.gamma, config.theta
     target = protocol.closed_form_bob_ket(n, gamma, theta)
+    _, shared = protocol.shared_state(n)
     points = []
     for p in config.grid.values():
-        outcome = protocol.rsp_mixed(_settings(config, p=p))
-        purity, fidelity = analysis.purity_and_fidelity(outcome.bob_state, target)
+        _, rho = protocol.rsp_mixed(shared, gamma, theta, p)
+        purity, fidelity = analysis.purity_and_fidelity(rho, target)
         entry_error = operator_distance(
-            outcome.bob_state, protocol.closed_form_bob_density(n, gamma, theta, p)
+            rho, protocol.closed_form_bob_density(n, gamma, theta, p)
         )
         points.append(
             {"p": p, "purity": purity, "fidelity": fidelity, "entry_error": entry_error}
@@ -142,10 +135,11 @@ def _run_mixed_state(config: ScenarioConfig):
 
 
 def _run_populations(config: ScenarioConfig):
-    outcome = protocol.rsp_mixed(_settings(config))
-    populations = analysis.component_populations(outcome.bob_state)
+    _, shared = protocol.shared_state(config.n_pairs)
+    _, rho = protocol.rsp_mixed(shared, config.gamma, config.theta, config.p_strength)
+    populations = analysis.component_populations(rho)
     total_photons = 2 * config.n_pairs - 1
-    modes = outcome.bob_state.modes
+    modes = rho.modes
     points = []
     for h in range(total_photons, -1, -1):
         occ = (h, total_photons - h)
@@ -162,18 +156,17 @@ def _run_populations(config: ScenarioConfig):
 
 def _run_general_n(config: ScenarioConfig):
     rng = np.random.default_rng(config.seed)
+    sizes = [int(round(value)) for value in config.grid.values()]
+    shared = {n: protocol.shared_state(n)[1] for n in set(sizes)}
     points = []
-    for value in config.grid.values():
-        n = int(round(value))
+    for n in sizes:
         for trial in range(config.trials):
             gamma = float(rng.uniform(0.0, math.pi / 4))
             theta = float(rng.uniform(0.0, 2 * math.pi))
             p = float(rng.uniform(0.0, 1.0))
-            pure = protocol.rsp_pure(RspSettings(n_pairs=n, gamma=gamma, theta=theta))
+            _, bob = protocol.rsp_pure(shared[n], gamma, theta)
+            _, rho = protocol.rsp_mixed(shared[n], gamma, theta, p)
             target = protocol.closed_form_bob_ket(n, gamma, theta)
-            mixed = protocol.rsp_mixed(
-                RspSettings(n_pairs=n, gamma=gamma, theta=theta, p_strength=p)
-            )
             points.append(
                 {
                     "n": n,
@@ -181,9 +174,9 @@ def _run_general_n(config: ScenarioConfig):
                     "gamma": gamma,
                     "theta": theta,
                     "p": p,
-                    "pure_overlap_error": abs(1.0 - abs(inner_product(target, pure.bob_ket))),
+                    "pure_overlap_error": abs(1.0 - abs(inner_product(target, bob))),
                     "mixed_entry_error": operator_distance(
-                        mixed.bob_state, protocol.closed_form_bob_density(n, gamma, theta, p)
+                        rho, protocol.closed_form_bob_density(n, gamma, theta, p)
                     ),
                 }
             )
@@ -195,19 +188,22 @@ def _run_general_n(config: ScenarioConfig):
 
 
 def _run_distinguishability(config: ScenarioConfig):
-    report = protocol.distinguishability_demo(_settings(config, p=1.0))
-    aux_pos = next(i for i, m in enumerate(report.modes) if m.tag > 0)
+    _, shared = protocol.shared_state(config.n_pairs)
+    _, bob = protocol.rsp_pure(shared, config.gamma, config.theta)
+    mixed = protocol.distinguishability_demo(bob, config.distinguishability)
+    populations = analysis.component_populations(mixed)
+    aux_pos = next(i for i, m in enumerate(mixed.modes) if m.tag > 0)
     points = [
         {
-            "component": occupation_label(report.modes, occ),
-            "population": report.populations[occ],
+            "component": occupation_label(mixed.modes, occ),
+            "population": populations[occ],
             "tagged": occ[aux_pos] > 0,
         }
-        for occ in sorted(report.populations)
+        for occ in sorted(populations)
     ]
     summary = {
-        "tagged_population": report.tagged_total,
-        "distinguishability": report.distinguishability,
+        "tagged_population": sum(pt["population"] for pt in points if pt["tagged"]),
+        "distinguishability": config.distinguishability,
     }
     return points, summary
 

@@ -66,3 +66,11 @@ def reference_shared_ket(n: int) -> FockState:
     )
     inv = 1.0 / math.sqrt(2.0)
     return superpose([(inv, branch_h), (inv, branch_v)])
+
+
+def tagged_population(state: FockState) -> float:
+    """Probability of at least one photon in a tagged (auxiliary) mode."""
+    tagged = [i for i, mode in enumerate(state.modes) if mode.tag > 0]
+    return sum(
+        abs(amp) ** 2 for occ, amp in state.items() if any(occ[i] > 0 for i in tagged)
+    )

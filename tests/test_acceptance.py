@@ -11,7 +11,6 @@ import numpy as np
 
 import rsp_sim.cli as cli
 from rsp_sim import (
-    RspSettings,
     chsh,
     closed_form_bob_density,
     closed_form_bob_ket,
@@ -28,7 +27,7 @@ from rsp_sim import (
     to_density,
     white_noise_shared_state,
 )
-from helpers import angdiff, reference_shared_ket
+from helpers import angdiff, reference_shared_ket, tagged_population
 from oracles import splitter_herald_amplitudes
 
 SQRT2 = math.sqrt(2.0)
@@ -83,19 +82,16 @@ def test_criterion_3_phase_fringes():
     grid = np.linspace(0.0, 2.0 * math.pi, 24)
     thetas = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
     visibilities = (0.938, 0.978, 0.974)
+    _, shared = shared_state(2)
     for theta in thetas:
-        scan = fringe_scan(
-            RspSettings(n_pairs=2, gamma=math.pi / 8, theta=theta), "phase_phi", grid
-        )
+        _, rho = rsp_mixed(shared, math.pi / 8, theta, 1.0)
+        scan = fringe_scan(rho, 2, "phase_phi", grid)
         for phi, prob in zip(scan.grid, scan.probabilities):
             assert abs(prob - 0.5 * (1.0 + math.cos(phi - theta))) < 1e-12
         assert angdiff(scan.fitted_offset, theta) < 1e-9
     for theta, p in zip(thetas, visibilities):
-        noisy = fringe_scan(
-            RspSettings(n_pairs=2, gamma=math.pi / 8, theta=theta, p_strength=p),
-            "phase_phi",
-            grid,
-        )
+        _, rho = rsp_mixed(shared, math.pi / 8, theta, p)
+        noisy = fringe_scan(rho, 2, "phase_phi", grid)
         assert abs(noisy.fitted_visibility - p) < 1e-9
         assert angdiff(noisy.fitted_offset, theta) < 1e-9
     _report(3, f"offsets recover theta for {thetas}, visibilities match {visibilities}")
@@ -105,11 +101,11 @@ def test_criterion_4_amplitude_fringes():
     rng = np.random.default_rng(44)
     grid = np.linspace(0.0, math.pi / 2.0, 25)
     checked = []
+    _, shared = shared_state(2)
     for _ in range(20):
         gamma = float(rng.uniform(0.0, math.pi / 4.0))
-        scan = fringe_scan(
-            RspSettings(n_pairs=2, gamma=gamma, theta=0.0), "angle_delta", grid
-        )
+        _, rho = rsp_mixed(shared, gamma, 0.0, 1.0)
+        scan = fringe_scan(rho, 2, "angle_delta", grid)
         for delta, prob in zip(scan.grid, scan.probabilities):
             assert abs(prob - 0.5 * (1.0 - math.cos(4.0 * (delta + gamma)))) < 1e-12
         peak = (scan.fitted_offset / 4.0) % (math.pi / 2.0)
@@ -120,8 +116,8 @@ def test_criterion_4_amplitude_fringes():
 
 
 def test_criterion_5_component_populations():
-    out = rsp_pure(RspSettings(n_pairs=2, gamma=math.pi / 8, theta=0.0))
-    pops = component_populations(out.bob_state)
+    _, bob = rsp_pure(shared_state(2)[1], math.pi / 8, 0.0)
+    pops = component_populations(to_density(bob))
     extreme_high = pops.get((3, 0), 0.0)
     extreme_low = pops.get((0, 3), 0.0)
     assert extreme_high < 1e-12
@@ -136,14 +132,15 @@ def test_criterion_5_component_populations():
 
 def test_criterion_6_mixed_state_preparation():
     target = closed_form_bob_ket(2, math.pi / 8, 0.0)
+    _, shared = shared_state(2)
     for p in (0.0, 0.25, 0.5, 0.75, 1.0):
-        out = rsp_mixed(RspSettings(n_pairs=2, gamma=math.pi / 8, p_strength=p))
+        _, bob_state = rsp_mixed(shared, math.pi / 8, 0.0, p)
         assert operator_distance(
-            out.bob_state, closed_form_bob_density(2, math.pi / 8, 0.0, p)
+            bob_state, closed_form_bob_density(2, math.pi / 8, 0.0, p)
         ) < 1e-12
-        purity, fidelity = purity_and_fidelity(out.bob_state, target)
+        purity, fidelity = purity_and_fidelity(bob_state, target)
         # independent matrix-arithmetic oracle for both figures of merit
-        v = np.array([target.amps.get(occ, 0j) for occ in out.bob_state.basis])
+        v = np.array([target.amps.get(occ, 0j) for occ in bob_state.basis])
         rho = p * np.outer(v, v.conj()) + (1.0 - p) / 2.0 * np.eye(2)
         assert abs(purity - float(np.trace(rho @ rho).real)) < 1e-12
         assert abs(fidelity - float((v.conj() @ rho @ v).real)) < 1e-12
@@ -157,18 +154,19 @@ def test_criterion_7_general_source_sizes():
     rng = np.random.default_rng(77)
     worst_pure = worst_mixed = 0.0
     for n in (1, 2, 3, 4):
+        _, shared = shared_state(n)
         for _ in range(50):
             gamma = float(rng.uniform(0.0, math.pi / 4.0))
             theta = float(rng.uniform(0.0, 2.0 * math.pi))
             p = float(rng.uniform(0.0, 1.0))
-            pure = rsp_pure(RspSettings(n_pairs=n, gamma=gamma, theta=theta))
-            overlap = abs(inner_product(closed_form_bob_ket(n, gamma, theta), pure.bob_ket))
+            _, bob_ket = rsp_pure(shared, gamma, theta)
+            overlap = abs(inner_product(closed_form_bob_ket(n, gamma, theta), bob_ket))
             worst_pure = max(worst_pure, abs(1.0 - overlap))
-            mixed = rsp_mixed(RspSettings(n_pairs=n, gamma=gamma, theta=theta, p_strength=p))
+            _, bob_state = rsp_mixed(shared, gamma, theta, p)
             worst_mixed = max(
                 worst_mixed,
                 operator_distance(
-                    mixed.bob_state, closed_form_bob_density(n, gamma, theta, p)
+                    bob_state, closed_form_bob_density(n, gamma, theta, p)
                 ),
             )
     assert worst_pure < 1e-10
@@ -183,15 +181,17 @@ def test_criterion_7_general_source_sizes():
 
 
 def test_criterion_8_distinguishability_contrast():
-    blurred = distinguishability_demo(RspSettings(n_pairs=2, distinguishability=0.5))
-    assert blurred.tagged_total > 0.05
+    _, shared = shared_state(2)
+    _, bob_ket = rsp_pure(shared, math.pi / 8, 0.0)
+    tagged_total = tagged_population(distinguishability_demo(bob_ket, 0.5))
+    assert tagged_total > 0.05
     for p in (0.0, 0.3, 0.7, 1.0):
-        out = rsp_mixed(RspSettings(n_pairs=2, gamma=math.pi / 8, p_strength=p))
-        assert set(out.bob_state.basis) == {(2, 1), (1, 2)}
-        assert all(mode.tag == 0 for mode in out.bob_state.modes)
+        _, bob_state = rsp_mixed(shared, math.pi / 8, 0.0, p)
+        assert set(bob_state.basis) == {(2, 1), (1, 2)}
+        assert all(mode.tag == 0 for mode in bob_state.modes)
     _report(
         8,
-        f"tagged-mode population {blurred.tagged_total:.3f} at d=0.5; partial "
+        f"tagged-mode population {tagged_total:.3f} at d=0.5; partial "
         "polarizer stays on the two-branch basis for all p",
     )
 

@@ -10,7 +10,6 @@ from rsp_sim import (
     BOB_V,
     CountTable,
     DensityOperator,
-    RspSettings,
     ScenarioConfig,
     chsh,
     closed_form_bob_ket,
@@ -31,13 +30,19 @@ from rsp_sim import (
     to_density,
     white_noise_shared_state,
 )
-from rsp_sim import analysis, scenarios
+from rsp_sim import PRESETS, analysis, protocol, scenarios
+from rsp_sim.config import EXPERIMENTS
 from helpers import angdiff
 
 RNG = np.random.default_rng(271828)
 
 QUBIT_MODES = (ALICE_H, ALICE_V, BOB_H, BOB_V)
 SQRT2 = math.sqrt(2.0)
+
+
+def _bob_state(gamma, theta, p=1.0):
+    # Bob's n = 2 state after Alice's partial polarizer of strength p
+    return rsp_mixed(shared_state(2)[1], gamma, theta, p)[1]
 
 
 def _qubit_occs(n=2):
@@ -186,9 +191,42 @@ def test_chsh_scenario_builds_one_count_table_per_setting(monkeypatch):
     )
 
 
+RUNNER_CONFIGS = {
+    "chsh": PRESETS["table1_chsh"],
+    "phase_fringe": PRESETS["fig2a"],
+    "amplitude_fringe": PRESETS["fig2d"],
+    "mixed_state": PRESETS["eq7_mixed_sweep"],
+    "populations": PRESETS["fig3_populations"],
+    "general_n": PRESETS["eq10_general_n"],
+    "distinguishability_demo": ScenarioConfig(
+        experiment="distinguishability_demo", n_pairs=3, distinguishability=0.37, seed=1
+    ),
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_each_runner_builds_one_shared_state_per_n(experiment, monkeypatch):
+    # the shared state depends only on n, so a runner builds it once per n
+    config = RUNNER_CONFIGS[experiment]
+    calls = []
+    original = protocol.shared_state
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(protocol, "shared_state", counting)
+    scenarios.run_scenario(config)
+    if experiment == "general_n":
+        sizes = {int(round(v)) for v in config.grid.values()}
+    else:
+        sizes = {config.n_pairs}
+    assert sorted(calls) == sorted(sizes)
+
+
 def test_phase_fringe_zero_offset():
     grid = np.linspace(0.0, 2 * math.pi, 24)
-    scan = fringe_scan(RspSettings(n_pairs=2, gamma=math.pi / 8, theta=0.0), "phase_phi", grid)
+    scan = fringe_scan(_bob_state(math.pi / 8, 0.0), 2, "phase_phi", grid)
     assert abs(scan.fitted_visibility - 1.0) < 1e-9
     assert angdiff(scan.fitted_offset, 0.0) < 1e-9
     for x, prob in zip(scan.grid, scan.probabilities):
@@ -197,33 +235,23 @@ def test_phase_fringe_zero_offset():
 
 def test_phase_fringe_offset_recovers_theta():
     grid = np.linspace(0.0, 2 * math.pi, 24)
-    scan = fringe_scan(
-        RspSettings(n_pairs=2, gamma=math.pi / 8, theta=math.pi / 2), "phase_phi", grid
-    )
+    scan = fringe_scan(_bob_state(math.pi / 8, math.pi / 2), 2, "phase_phi", grid)
     assert angdiff(scan.fitted_offset, math.pi / 2) < 1e-9
 
 
 @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.938, 1.0])
 def test_phase_fringe_visibility_equals_noise_weight(p):
     grid = np.linspace(0.0, 2 * math.pi, 24)
-    scan = fringe_scan(
-        RspSettings(n_pairs=2, gamma=math.pi / 8, theta=0.0, p_strength=p),
-        "phase_phi",
-        grid,
-    )
+    scan = fringe_scan(_bob_state(math.pi / 8, 0.0, p), 2, "phase_phi", grid)
     assert abs(scan.fitted_visibility - p) < 1e-9
-    assert scan.degenerate == (p == 0.0)
-    if scan.degenerate:
-        assert scan.fitted_offset is None
+    assert (scan.fitted_offset is None) == (p == 0.0)
 
 
 def test_amplitude_fringe_peak_location():
     for _ in range(20):
         gamma = float(RNG.uniform(0.0, math.pi / 4))
         grid = np.linspace(0.0, math.pi / 2, 25)
-        scan = fringe_scan(
-            RspSettings(n_pairs=2, gamma=gamma, theta=0.0), "angle_delta", grid
-        )
+        scan = fringe_scan(_bob_state(gamma, 0.0), 2, "angle_delta", grid)
         peak = (scan.fitted_offset / 4.0) % (math.pi / 2)
         assert angdiff(peak, (math.pi / 4 - gamma) % (math.pi / 2), period=math.pi / 2) < 1e-9
         for x, prob in zip(scan.grid, scan.probabilities):
@@ -231,11 +259,11 @@ def test_amplitude_fringe_peak_location():
 
 
 def test_fringe_scan_rejects_unknown_axis_and_empty_grid():
-    settings = RspSettings(n_pairs=2)
+    rho = _bob_state(math.pi / 8, 0.0)
     with pytest.raises(ValueError):
-        fringe_scan(settings, "nope", [0.0, 1.0, 2.0])
+        fringe_scan(rho, 2, "nope", [0.0, 1.0, 2.0])
     with pytest.raises(ValueError):
-        fringe_scan(settings, "phase_phi", [])
+        fringe_scan(rho, 2, "phase_phi", [])
 
 
 def test_fit_fringe_recovers_synthetic_parameters():
@@ -260,8 +288,8 @@ def test_fit_fringe_flat_data_is_reported_not_fit():
 
 
 def test_component_populations_of_balanced_state():
-    out = rsp_pure(RspSettings(n_pairs=2, gamma=math.pi / 8))
-    pops = component_populations(out.bob_state)
+    _, bob = rsp_pure(shared_state(2)[1], math.pi / 8, 0.0)
+    pops = component_populations(to_density(bob))
     assert abs(pops[(2, 1)] - 0.5) < 1e-12
     assert abs(pops[(1, 2)] - 0.5) < 1e-12
     assert pops.get((3, 0), 0.0) == 0.0
@@ -277,17 +305,17 @@ def test_component_populations_single_ket():
 def test_purity_and_fidelity_formulas():
     target = closed_form_bob_ket(2, math.pi / 8, 0.0)
     for p in (0.0, 0.3, 0.6, 1.0):
-        out = rsp_mixed(RspSettings(n_pairs=2, gamma=math.pi / 8, p_strength=p))
-        purity, fidelity = purity_and_fidelity(out.bob_state, target)
+        rho_b = _bob_state(math.pi / 8, 0.0, p)
+        purity, fidelity = purity_and_fidelity(rho_b, target)
         # independent matrix-arithmetic check
-        v = np.array([target.amps.get(occ, 0j) for occ in out.bob_state.basis])
+        v = np.array([target.amps.get(occ, 0j) for occ in rho_b.basis])
         rho = p * np.outer(v, v.conj()) + (1 - p) / 2.0 * np.eye(2)
         assert abs(purity - np.trace(rho @ rho).real) < 1e-12
         assert abs(fidelity - (v.conj() @ rho @ v).real) < 1e-12
         assert abs(purity - (1 + p * p) / 2.0) < 1e-12
         assert abs(fidelity - (1 + p) / 2.0) < 1e-12
-    pure = rsp_pure(RspSettings(n_pairs=2, gamma=math.pi / 8))
-    purity, fidelity = purity_and_fidelity(pure.bob_state, target)
+    _, pure = rsp_pure(shared_state(2)[1], math.pi / 8, 0.0)
+    purity, fidelity = purity_and_fidelity(to_density(pure), target)
     assert abs(purity - 1.0) < 1e-12
     assert abs(fidelity - 1.0) < 1e-12
 
@@ -312,7 +340,7 @@ def test_sample_count_table_round_trip():
 
 def test_sampled_fringe_visibility_converges():
     grid = np.linspace(0.0, 2 * math.pi, 24)
-    scan = fringe_scan(RspSettings(n_pairs=2, gamma=math.pi / 8), "phase_phi", grid)
+    scan = fringe_scan(_bob_state(math.pi / 8, 0.0), 2, "phase_phi", grid)
     sampled = sample_fringe_scan(scan, shots=10 ** 6, seed=99)
     assert sampled.counts is not None
     assert abs(sampled.fitted_visibility - 1.0) < 0.01

@@ -172,9 +172,6 @@ def test_partial_trace_rejects_bad_keep_sets():
         _trace_out(rho, set(rho.modes))  # nothing would be left
     with pytest.raises(ModeMismatchError):
         _trace_out(rho, {SOURCE_H})  # not a mode of the operator
-    identity = PovmElement((ALICE_H,), [(0,), (1,)], np.eye(2))
-    with pytest.raises(ModeMismatchError):
-        condition_on_povm(rho, identity, on=())  # empty, and not the element's modes
 
 
 def test_partial_trace_random_states_stay_physical():

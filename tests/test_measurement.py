@@ -286,7 +286,7 @@ def test_project_matches_scalar_loop_exactly():
         expected = sum(abs(a) ** 2 for _, a in sorted(residual.items()))
         if expected < 1e-15:
             continue
-        prob, remote = project(state, Projector(target), on)
+        prob, remote = project(state, Projector(target))
         assert prob == expected
         scale = 1.0 / math.sqrt(expected)
         assert remote.items() == sorted((k, a * scale) for k, a in residual.items())
@@ -315,7 +315,7 @@ def test_condition_on_povm_matches_scalar_loop_exactly():
         expected = float(np.trace(out).real)
         if expected < 1e-15:
             continue
-        prob, conditional = condition_on_povm(rho, element, on)
+        prob, conditional = condition_on_povm(rho, element)
         assert prob == expected
         assert conditional.basis == tuple(rest_basis)
         assert np.array_equal(conditional.matrix, out / expected)

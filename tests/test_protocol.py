@@ -6,7 +6,6 @@ import pytest
 from rsp_sim import (
     BOB_H,
     BOB_V,
-    RspSettings,
     bob_measurement_ket,
     build_source,
     closed_form_bob_density,
@@ -20,9 +19,10 @@ from rsp_sim import (
     rsp_pure,
     shared_state,
     superpose,
+    to_density,
 )
 from rsp_sim.protocol import alice_measurement_ket
-from helpers import reference_shared_ket
+from helpers import reference_shared_ket, tagged_population
 from oracles import splitter_herald_amplitudes
 
 RNG = np.random.default_rng(31415)
@@ -84,78 +84,77 @@ def test_alice_measurement_ket_matches_instrument_form():
 
 
 def test_rsp_pure_balanced_preparation():
-    out = rsp_pure(RspSettings(n_pairs=2, gamma=math.pi / 8, theta=0.0))
+    herald_probability, shared = shared_state(2)
+    alice_probability, bob = rsp_pure(shared, math.pi / 8, 0.0)
     inv = 1.0 / math.sqrt(2.0)
     target = superpose([
         (inv, make_fock([(BOB_H, 2), (BOB_V, 1)])),
         (inv, make_fock([(BOB_H, 1), (BOB_V, 2)])),
     ])
-    assert abs(abs(inner_product(target, out.bob_ket)) - 1.0) < 1e-12
-    assert abs(out.alice_probability - 0.5) < 1e-12
-    assert abs(out.herald_probability - 0.25) < 1e-12
+    assert abs(abs(inner_product(target, bob)) - 1.0) < 1e-12
+    assert abs(alice_probability - 0.5) < 1e-12
+    assert abs(herald_probability - 0.25) < 1e-12
 
 
 def test_rsp_pure_endpoint_prepares_single_component():
-    out = rsp_pure(RspSettings(n_pairs=2, gamma=math.pi / 4, theta=0.0))
-    assert abs(abs(out.bob_ket.amplitude((2, 1))) - 1.0) < 1e-12
-    assert out.bob_ket.amplitude((1, 2)) == 0j
+    _, bob = rsp_pure(shared_state(2)[1], math.pi / 4, 0.0)
+    assert abs(abs(bob.amplitude((2, 1))) - 1.0) < 1e-12
+    assert bob.amplitude((1, 2)) == 0j
 
 
 def test_rsp_pure_three_pair_with_phase():
-    out = rsp_pure(RspSettings(n_pairs=3, gamma=math.pi / 8, theta=math.pi / 2))
+    _, bob = rsp_pure(shared_state(3)[1], math.pi / 8, math.pi / 2)
     inv = 1.0 / math.sqrt(2.0)
     target = superpose([
         (inv, make_fock([(BOB_H, 3), (BOB_V, 2)])),
         (1j * inv, make_fock([(BOB_H, 2), (BOB_V, 3)])),
     ])
-    assert abs(abs(inner_product(target, out.bob_ket)) - 1.0) < 1e-12
-
-
-def test_rsp_pure_rejects_partial_strength():
-    with pytest.raises(ValueError):
-        rsp_pure(RspSettings(n_pairs=2, p_strength=0.5))
+    assert abs(abs(inner_product(target, bob)) - 1.0) < 1e-12
 
 
 def test_rsp_mixed_limits():
-    pure = rsp_pure(RspSettings(n_pairs=2, gamma=0.2, theta=0.8))
-    sharp = rsp_mixed(RspSettings(n_pairs=2, gamma=0.2, theta=0.8, p_strength=1.0))
-    assert operator_distance(sharp.bob_state, pure.bob_state) < 1e-12
-    flat = rsp_mixed(RspSettings(n_pairs=2, gamma=0.2, theta=0.8, p_strength=0.0))
-    assert abs(flat.bob_state.entry((2, 1), (2, 1)) - 0.5) < 1e-12
-    assert abs(flat.bob_state.entry((1, 2), (1, 2)) - 0.5) < 1e-12
-    assert abs(flat.bob_state.entry((2, 1), (1, 2))) < 1e-12
+    _, shared = shared_state(2)
+    _, pure = rsp_pure(shared, 0.2, 0.8)
+    _, sharp = rsp_mixed(shared, 0.2, 0.8, 1.0)
+    assert operator_distance(sharp, to_density(pure)) < 1e-12
+    _, flat = rsp_mixed(shared, 0.2, 0.8, 0.0)
+    assert abs(flat.entry((2, 1), (2, 1)) - 0.5) < 1e-12
+    assert abs(flat.entry((1, 2), (1, 2)) - 0.5) < 1e-12
+    assert abs(flat.entry((2, 1), (1, 2))) < 1e-12
 
 
 def test_rsp_mixed_purity_at_point_six():
-    out = rsp_mixed(RspSettings(n_pairs=2, gamma=math.pi / 8, p_strength=0.6))
-    purity = float(np.trace(out.bob_state.matrix @ out.bob_state.matrix).real)
+    _, rho = rsp_mixed(shared_state(2)[1], math.pi / 8, 0.0, 0.6)
+    purity = float(np.trace(rho.matrix @ rho.matrix).real)
     assert abs(purity - 0.68) < 1e-12
 
 
 def test_pipeline_matches_closed_form_across_sources():
     for n in (1, 2, 3, 4):
+        _, shared = shared_state(n)
         for _ in range(50):
             gamma = float(RNG.uniform(0, math.pi / 4))
             theta = float(RNG.uniform(0, 2 * math.pi))
-            out = rsp_pure(RspSettings(n_pairs=n, gamma=gamma, theta=theta))
+            _, bob = rsp_pure(shared, gamma, theta)
             target = closed_form_bob_ket(n, gamma, theta)
-            assert abs(abs(inner_product(target, out.bob_ket)) - 1.0) < 1e-10
+            assert abs(abs(inner_product(target, bob)) - 1.0) < 1e-10
 
 
 def test_mixed_pipeline_matches_closed_form():
     for n in (1, 2, 3):
+        _, shared = shared_state(n)
         for _ in range(20):
             gamma = float(RNG.uniform(0, math.pi / 4))
             theta = float(RNG.uniform(0, 2 * math.pi))
             p = float(RNG.uniform(0, 1))
-            out = rsp_mixed(RspSettings(n_pairs=n, gamma=gamma, theta=theta, p_strength=p))
+            _, rho = rsp_mixed(shared, gamma, theta, p)
             target = closed_form_bob_density(n, gamma, theta, p)
-            assert operator_distance(out.bob_state, target) < 1e-10
+            assert operator_distance(rho, target) < 1e-10
 
 
 def test_phase_fringe_law_pointwise():
-    out = rsp_pure(RspSettings(n_pairs=2, gamma=math.pi / 8, theta=1.3))
-    rho = out.bob_state
+    _, bob = rsp_pure(shared_state(2)[1], math.pi / 8, 1.3)
+    rho = to_density(bob)
     from rsp_sim import expectation
 
     for phi in np.linspace(0, 2 * math.pi, 24):
@@ -166,13 +165,14 @@ def test_phase_fringe_law_pointwise():
 
 def test_amplitude_fringe_law_pointwise():
     gamma = 0.22
-    out = rsp_pure(RspSettings(n_pairs=2, gamma=gamma, theta=0.0))
+    _, bob = rsp_pure(shared_state(2)[1], gamma, 0.0)
+    rho = to_density(bob)
     from rsp_sim import expectation
 
     for delta in np.linspace(0, math.pi / 2, 25):
         ket = bob_measurement_ket(2, delta, 0.0)
         expected = 0.5 * (1 - math.cos(4 * (delta + gamma)))
-        assert abs(expectation(out.bob_state, ket) - expected) < 1e-12
+        assert abs(expectation(rho, ket) - expected) < 1e-12
 
 
 def test_extreme_components_never_appear():
@@ -181,8 +181,8 @@ def test_extreme_components_never_appear():
         n = int(RNG.integers(2, 5))
         gamma = float(RNG.uniform(0, math.pi / 4))
         theta = float(RNG.uniform(0, 2 * math.pi))
-        out = rsp_pure(RspSettings(n_pairs=n, gamma=gamma, theta=theta))
-        pops = component_populations(out.bob_state)
+        _, bob = rsp_pure(shared_state(n)[1], gamma, theta)
+        pops = component_populations(to_density(bob))
         total = 2 * n - 1
         assert pops.get((total, 0), 0.0) == 0.0
         assert pops.get((0, total), 0.0) == 0.0
@@ -190,26 +190,32 @@ def test_extreme_components_never_appear():
 
 
 def test_distinguishability_limits_and_contrast():
-    clean = distinguishability_demo(RspSettings(n_pairs=2, distinguishability=1.0))
-    assert clean.tagged_total == 0.0
-    blurred = distinguishability_demo(RspSettings(n_pairs=2, distinguishability=0.5))
+    _, shared = shared_state(2)
+    _, bob = rsp_pure(shared, math.pi / 8, 0.0)
+    clean = tagged_population(distinguishability_demo(bob, 1.0))
+    assert clean == 0.0
+    blurred = tagged_population(distinguishability_demo(bob, 0.5))
     # per-branch tagged weight: 1/2 * (1 - d) + 1/2 * (1 - d^2) = 0.625 at d = 0.5
-    assert abs(blurred.tagged_total - 0.625) < 1e-12
-    assert blurred.tagged_total > 0.1
+    assert abs(blurred - 0.625) < 1e-12
+    assert blurred > 0.1
     # the partial-polarizer route never leaves the two-branch basis
     for p in (0.0, 0.5, 1.0):
-        out = rsp_mixed(RspSettings(n_pairs=2, gamma=math.pi / 8, p_strength=p))
-        assert set(out.bob_state.basis) == {(2, 1), (1, 2)}
-        assert all(m.tag == 0 for m in out.bob_state.modes)
+        _, rho = rsp_mixed(shared, math.pi / 8, 0.0, p)
+        assert set(rho.basis) == {(2, 1), (1, 2)}
+        assert all(m.tag == 0 for m in rho.modes)
 
 
 def test_settings_validation():
+    # each setting is checked where it is used
     with pytest.raises(ValueError):
-        RspSettings(n_pairs=0)
+        build_source(0)
+    _, shared = shared_state(2)
     with pytest.raises(ValueError):
-        RspSettings(p_strength=1.5)
-    with pytest.raises(ValueError):
-        RspSettings(distinguishability=-0.2)
+        rsp_mixed(shared, math.pi / 8, 0.0, 1.5)
+    _, bob = rsp_pure(shared, math.pi / 8, 0.0)
+    for d in (-0.2, 1.5):
+        with pytest.raises(ValueError):
+            distinguishability_demo(bob, d)
 
 
 def test_closed_form_density_keeps_both_branches_when_one_amplitude_vanishes():
