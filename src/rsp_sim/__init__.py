@@ -59,12 +59,13 @@ from .protocol import (
 from .analysis import (
     CountTable,
     FringeScan,
-    chsh,
+    chsh_value,
     component_populations,
     correlation,
     count_table,
     fit_fringe,
     fringe_scan,
+    outcome_kets,
     purity_and_fidelity,
     sample_count_table,
     sample_counts,

@@ -130,29 +130,60 @@ def _subspace_matrix(rho: DensityOperator, n: int) -> np.ndarray:
     return sub
 
 
+def outcome_kets(n: int) -> dict[str, tuple[FockState, FockState]]:
+    """Each CHSH kind's (plus, minus) outcome ket, made by its instrument:
+    Alice's wave plate for her kinds, Bob's analyzer on 2n-1 photons for his."""
+    kets = {
+        kind: tuple(protocol.alice_measurement_ket(a, 0.0) for a in angles)
+        for kind, (_, angles) in ALICE_KINDS.items()
+    }
+    kets.update(
+        (kind, tuple(protocol.bob_measurement_ket(n, a, 0.0) for a in angles))
+        for kind, (_, angles) in BOB_KINDS.items()
+    )
+    return kets
+
+
 def count_table(
-    state: FockState | DensityOperator, s_kind: str, t_kind: str, n: int = 2
+    state: FockState | DensityOperator,
+    s_kind: str,
+    t_kind: str,
+    n: int = 2,
+    kets: dict[str, tuple[FockState, FockState]] | None = None,
 ) -> CountTable:
-    """Expected outcome table using the physical wave-plate settings."""
+    """Expected outcome table using the physical wave-plate settings.
+
+    ``kets`` is ``outcome_kets(n)``, built once by a caller that evaluates
+    several settings; without it the kets are built here.
+    """
     rho = _coerce_density(state)
-    (_, s_angles), (_, t_angles) = _kinds(s_kind, t_kind)
-    s_kets = [protocol.alice_measurement_ket(angle, 0.0) for angle in s_angles]
-    t_kets = [protocol.bob_measurement_ket(n, angle, 0.0) for angle in t_angles]
+    _kinds(s_kind, t_kind)
+    if kets is None:
+        kets = outcome_kets(n)
     # outcome order ++, +-, -+, --
     return CountTable(
-        *(expectation(rho, tensor(s_ket, t_ket)) for s_ket in s_kets for t_ket in t_kets)
+        *(
+            expectation(rho, tensor(s_ket, t_ket))
+            for s_ket in kets[s_kind]
+            for t_ket in kets[t_kind]
+        )
     )
 
 
 def correlation(
-    state: FockState | DensityOperator, s_kind: str, t_kind: str, n: int = 2
+    state: FockState | DensityOperator,
+    s_kind: str,
+    t_kind: str,
+    n: int = 2,
+    kets: dict[str, tuple[FockState, FockState]] | None = None,
 ) -> tuple[float, CountTable]:
     """Joint expectation value of a single-photon and a multi-photon setting.
 
     Computed as Tr(rho (S (x) T)) and cross-checked against the instrument
     count estimator (N++ + N-- - N+- - N-+) / N; disagreement beyond
     ``ROUTE_TOL`` means a bug and raises. Returns the trace-route value and
-    the count table it was checked against.
+    the count table it was checked against; ``kets`` is passed on to
+    ``count_table``.
     """
     rho = _coerce_density(state)
     sub = _subspace_matrix(rho, n)
@@ -160,7 +191,7 @@ def correlation(
     # S (x) T as a 4x4 matrix over (a, b) x (c, d), then Tr(sub (S (x) T))
     kron = np.einsum("ac,bd->abcd", s_matrix, t_matrix).reshape(4, 4)
     value = float(np.einsum("ij,ji->", sub, kron).real)
-    table = count_table(rho, s_kind, t_kind, n)
+    table = count_table(rho, s_kind, t_kind, n, kets)
     counted = table.correlation()
     if abs(value - counted) > ROUTE_TOL:
         raise RuntimeError(
@@ -173,11 +204,6 @@ def chsh_value(e: Sequence[float]) -> float:
     """|-E(mu,mu) + E(mu,pi) + E(pi,mu) + E(pi,pi)| over the correlations
     of the CHSH_SETTINGS, in that order."""
     return abs(-e[0] + e[1] + e[2] + e[3])
-
-
-def chsh(state: FockState | DensityOperator, n: int = 2) -> float:
-    """CHSH parameter of a state on the Alice (x) Bob qubit subspace."""
-    return chsh_value([correlation(state, s, t, n)[0] for s, t in CHSH_SETTINGS])
 
 
 def white_noise_shared_state(n: int, p: float) -> DensityOperator:

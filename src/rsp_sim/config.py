@@ -34,10 +34,14 @@ _GRID_EXPERIMENTS = ("phase_fringe", "amplitude_fringe", "mixed_state", "general
 MAX_N_PAIRS = 98
 # sampling costs the same at any shot count; 2**53 keeps each count exact as
 # a float. Points and trials fit the 5 s preset budget: a mixed_state point
-# costs about 0.9 ms at n = 2, a general_n trial about 4.2 ms at n = 4.
+# costs about 0.09 ms at n = 2, a general_n trial about 0.4 ms at n = 4
+# (marginal cost, best of 5, one core of a 2-vCPU Xeon).
 MAX_SHOTS = 2**53
 MAX_GRID_POINTS = 5000
 MAX_TRIALS = 1000
+# longest angle expression: "3*pi/16" needs 7 characters, and a bound on the
+# length bounds the nesting depth the recursive evaluator can meet
+MAX_ANGLE_CHARS = 256
 
 
 class SchemaError(ValueError):
@@ -48,8 +52,9 @@ def parse_angle(value: Any) -> float:
     """Evaluate a numeric literal or a tiny arithmetic expression over pi.
 
     Allowed syntax: numbers, ``pi``, unary minus, + - * /, parentheses.
-    Anything else (names, calls, powers) is rejected, and so is a result
-    that is not finite (NaN, or a value that overflows).
+    Anything else (names, ``True`` and ``False``, calls, powers) is
+    rejected, and so is an expression longer than ``MAX_ANGLE_CHARS`` or a
+    result that is not finite (NaN, or a value that overflows).
     """
     if isinstance(value, bool):
         raise SchemaError(f"not a number: {value!r}")
@@ -68,15 +73,17 @@ def parse_angle(value: Any) -> float:
 
 
 def _evaluate_angle(value: str) -> float:
-    try:
-        tree = ast.parse(value.strip(), mode="eval")
-    except SyntaxError as exc:
-        raise SchemaError(f"cannot parse angle expression {value!r}") from exc
+    text = value.strip()
+    if len(text) > MAX_ANGLE_CHARS:
+        raise SchemaError(
+            f"angle expression of {len(text)} characters exceeds {MAX_ANGLE_CHARS}"
+        )
 
     def evaluate(node: ast.AST) -> float:
         if isinstance(node, ast.Expression):
             return evaluate(node.body)
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+                and not isinstance(node.value, bool)):
             return float(node.value)
         if isinstance(node, ast.Name) and node.id == "pi":
             return math.pi
@@ -98,7 +105,12 @@ def _evaluate_angle(value: str) -> float:
             return left / right
         raise SchemaError(f"unsupported syntax in angle expression {value!r}")
 
-    return evaluate(tree)
+    try:
+        return evaluate(ast.parse(text, mode="eval"))
+    except SyntaxError as exc:
+        raise SchemaError(f"cannot parse angle expression {value!r}") from exc
+    except (RecursionError, MemoryError) as exc:
+        raise SchemaError(f"angle expression {value!r} is nested too deeply") from exc
 
 
 @dataclass(frozen=True)
@@ -150,6 +162,10 @@ class ScenarioConfig:
             raise SchemaError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.trials <= MAX_TRIALS:
             raise SchemaError(f"trials must be in [1, {MAX_TRIALS}], got {self.trials}")
+        if self.output is not None and not isinstance(self.output, str):
+            raise SchemaError(f"output must be a file path string, got {self.output!r}")
+        if self.grid is not None and self.experiment not in _GRID_EXPERIMENTS:
+            raise SchemaError(f"experiment {self.experiment!r} takes no grid")
         if self.grid is not None and self.grid.points > MAX_GRID_POINTS:
             raise SchemaError(f"grid points must be <= {MAX_GRID_POINTS}, got {self.grid.points}")
         if self.experiment in _GRID_EXPERIMENTS:
@@ -216,7 +232,7 @@ def config_from_mapping(raw: dict[str, Any]) -> ScenarioConfig:
         if key in raw and raw[key] is not None:
             kwargs[key] = _integer(key, raw[key])
     if "output" in raw and raw["output"] is not None:
-        kwargs["output"] = str(raw["output"])
+        kwargs["output"] = raw["output"]
     if "format" in raw:
         kwargs["format"] = str(raw["format"])
 

@@ -163,4 +163,4 @@ def apply(u: ModeUnitary, state: FockState) -> FockState:
             for r in range(k):
                 full[positions[r]] = sub_occ[r]
             out[tuple(full)] += coeff * math.sqrt(out_norm)
-    return FockState(state.modes, out)
+    return FockState._unchecked(state.modes, out)

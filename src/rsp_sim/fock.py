@@ -93,6 +93,20 @@ def occupation_label(modes: tuple[Mode, ...], occ: tuple[int, ...]) -> str:
     )
 
 
+def _pruned(
+    amplitudes: Iterable[tuple[tuple[int, ...], complex]],
+) -> dict[tuple[int, ...], complex]:
+    """Amplitudes as plain ``complex``, each above ``AMP_PRUNE``, equal keys summed."""
+    amps: dict[tuple[int, ...], complex] = {}
+    for occ, amp in amplitudes:
+        amp = complex(amp)
+        if abs(amp) > AMP_PRUNE:
+            amps[occ] = amps.get(occ, 0j) + amp
+    if not amps:
+        raise ValueError("state has no support")
+    return amps
+
+
 class FockState:
     """Sparse superposition over occupation vectors of a fixed mode set.
 
@@ -108,21 +122,16 @@ class FockState:
             raise ModeMismatchError("duplicate modes in state")
         if list(modes) != sorted(modes):
             raise ModeMismatchError("modes must be given in canonical order")
-        amps: dict[tuple[int, ...], complex] = {}
-        for occ, amp in amplitudes.items():
-            amp = complex(amp)
-            if abs(amp) <= AMP_PRUNE:
-                continue
-            occ = tuple(int(c) for c in occ)
+        amps = _pruned(
+            (tuple(int(c) for c in occ), amp) for occ, amp in amplitudes.items()
+        )
+        for occ in amps:
             if len(occ) != len(modes):
                 raise ModeMismatchError(
                     f"occupation length {len(occ)} does not match {len(modes)} modes"
                 )
             if any(c < 0 for c in occ):
                 raise ValueError(f"negative occupation in {occ}")
-            amps[occ] = amps.get(occ, 0j) + amp
-        if not amps:
-            raise ValueError("state has no support")
         totals = {sum(occ) for occ in amps}
         if len(totals) != 1:
             raise ValueError(f"mixed photon numbers {sorted(totals)} in one state")
@@ -133,6 +142,19 @@ class FockState:
         self.amps = amps
         self.total_photons = total
 
+    @classmethod
+    def _unchecked(
+        cls, modes: tuple[Mode, ...], amplitudes: Mapping[tuple[int, ...], complex]
+    ) -> "FockState":
+        """A state from canonically ordered modes and keys that already match
+        them and share one photon number, as the library's own operations
+        produce; only the amplitudes are pruned and summed."""
+        state = object.__new__(cls)
+        state.modes = modes
+        state.amps = _pruned(amplitudes.items())
+        state.total_photons = sum(next(iter(state.amps)))
+        return state
+
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for _, a in sorted(self.amps.items())))
 
@@ -140,10 +162,7 @@ class FockState:
         n = self.norm()
         if n <= AMP_PRUNE:
             raise ValueError("cannot normalize a numerically zero state")
-        return FockState(self.modes, {occ: a / n for occ, a in self.amps.items()})
-
-    def amplitude(self, occ: tuple[int, ...]) -> complex:
-        return self.amps.get(tuple(occ), 0j)
+        return FockState._unchecked(self.modes, {occ: a / n for occ, a in self.amps.items()})
 
     def items(self):
         return sorted(self.amps.items())
@@ -207,7 +226,7 @@ def extend_modes(state: FockState, modes: Iterable[Mode]) -> FockState:
     target = tuple(sorted(set(modes) | set(state.modes)))
     if target == state.modes:
         return state
-    return FockState(target, dict(_relabel(state, target)))
+    return FockState._unchecked(target, dict(_relabel(state, target)))
 
 
 def without_modes(state: FockState, drop: Iterable[Mode]) -> FockState:
@@ -223,7 +242,7 @@ def without_modes(state: FockState, drop: Iterable[Mode]) -> FockState:
             raise ValueError("cannot drop occupied modes")
     modes = tuple(state.modes[i] for i in keep_idx)
     amps = {tuple(occ[i] for i in keep_idx): a for occ, a in state.amps.items()}
-    return FockState(modes, amps)
+    return FockState._unchecked(modes, amps)
 
 
 def tensor(a: FockState, b: FockState) -> FockState:
@@ -237,7 +256,7 @@ def tensor(a: FockState, b: FockState) -> FockState:
         for occ_a, amp_a in left
         for occ_b, amp_b in right
     }
-    return FockState(modes, amps)
+    return FockState._unchecked(modes, amps)
 
 
 def inner_product(a: FockState, b: FockState) -> complex:
@@ -295,6 +314,22 @@ class DensityOperator:
         self.matrix = matrix
         self._index = {occ: i for i, occ in enumerate(basis)}
 
+    @classmethod
+    def _unchecked(
+        cls,
+        modes: tuple[Mode, ...],
+        basis: tuple[tuple[int, ...], ...],
+        matrix: np.ndarray,
+    ) -> "DensityOperator":
+        """An operator from a basis that already matches ``modes`` and a
+        complex matrix of its size, as the library's own operations produce."""
+        rho = object.__new__(cls)
+        rho.modes = modes
+        rho.basis = basis
+        rho.matrix = matrix
+        rho._index = {occ: i for i, occ in enumerate(basis)}
+        return rho
+
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
@@ -332,14 +367,15 @@ def white_noise_mixture(
     ket: FockState, basis: Iterable[tuple[int, ...]], p: float
 ) -> DensityOperator:
     """p |ket><ket| + (1-p) I/d over the d entries of ``basis``, p in [0, 1];
-    the ket's amplitudes outside ``basis`` are dropped."""
+    the ket's amplitudes outside ``basis`` are dropped. ``basis`` lists
+    distinct occupation tuples over the ket's modes and is not checked."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixture weight p={p} outside [0, 1]")
     basis = tuple(basis)
     d = len(basis)
     v = np.array([ket.amps.get(occ, 0j) for occ in basis], dtype=complex)
     matrix = p * np.einsum("i,j->ij", v, v.conj()) + (1.0 - p) / d * np.eye(d)
-    return DensityOperator(ket.modes, basis, matrix)
+    return DensityOperator._unchecked(ket.modes, basis, matrix)
 
 
 def expectation(rho: DensityOperator, ket: FockState) -> float:

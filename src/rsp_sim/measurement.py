@@ -97,7 +97,9 @@ def herald(state: FockState, pattern: HeraldPattern) -> tuple[float, FockState]:
         raise ImpossibleHeraldError("no ket of the state matches the herald pattern")
     probability = sum(abs(a) ** 2 for a in matching.values())
     scale = 1.0 / math.sqrt(probability)
-    conditional = FockState(state.modes, {occ: a * scale for occ, a in matching.items()})
+    conditional = FockState._unchecked(
+        state.modes, {occ: a * scale for occ, a in matching.items()}
+    )
     return probability, conditional
 
 
@@ -161,7 +163,9 @@ def project(state: FockState, proj: Projector) -> tuple[float, FockState]:
             f"projection probability {probability:.3e} (< {PROB_FLOOR})"
         )
     scale = 1.0 / math.sqrt(probability)
-    remote = FockState(rest_modes, {occ: a * scale for occ, a in zip(rest_basis, residual)})
+    remote = FockState._unchecked(
+        rest_modes, {occ: a * scale for occ, a in zip(rest_basis, residual)}
+    )
     return probability, remote
 
 
@@ -186,6 +190,16 @@ class PovmElement:
             raise ValueError(f"POVM element eigenvalues outside [0, 1]: {eig}")
         object.__setattr__(self, "operator", op)
 
+    @classmethod
+    def _unchecked(cls, rho: DensityOperator) -> "PovmElement":
+        """The element whose operator is ``rho``'s matrix, for an operator
+        that is positive with eigenvalues at most 1 by construction."""
+        element = object.__new__(cls)
+        object.__setattr__(element, "modes", rho.modes)
+        object.__setattr__(element, "basis", rho.basis)
+        object.__setattr__(element, "operator", rho.matrix)
+        return element
+
 
 def partial_polarizer_povm(phi: Projector, p: float) -> PovmElement:
     """Weighted projection p |phi><phi| + (1-p) I/2 on a single-photon pair
@@ -195,8 +209,8 @@ def partial_polarizer_povm(phi: Projector, p: float) -> PovmElement:
         raise ModeMismatchError(
             "partial polarizer acts on a single photon in a two-mode basis"
         )
-    mixture = white_noise_mixture(target, ((0, 1), (1, 0)), p)
-    return PovmElement(mixture.modes, mixture.basis, mixture.matrix)
+    # p |phi><phi| + (1-p) I/2 has eigenvalues (1+p)/2 and (1-p)/2
+    return PovmElement._unchecked(white_noise_mixture(target, ((0, 1), (1, 0)), p))
 
 
 def condition_on_povm(
@@ -231,4 +245,4 @@ def condition_on_povm(
         raise ZeroProbabilityError(
             f"POVM outcome probability {probability:.3e} (< {PROB_FLOOR})"
         )
-    return probability, DensityOperator(rest_modes, rest_basis, out / probability)
+    return probability, DensityOperator._unchecked(rest_modes, rest_basis, out / probability)

@@ -12,7 +12,9 @@ simulating the optical elements, never by inserting the closed forms.
 Each stage takes the value the previous one returned. ``shared_state(n)``
 depends only on the source size, so a caller builds it once per n and
 passes it to ``rsp_pure`` or ``rsp_mixed`` for every setting of Alice's
-instrument; ``distinguishability_demo`` takes the ket ``rsp_pure`` made.
+instrument. That setting is a ``Projector`` on ``alice_measurement_ket``,
+built once per (gamma, theta) and reused for every p;
+``distinguishability_demo`` takes the ket ``rsp_pure`` made.
 """
 
 from __future__ import annotations
@@ -110,31 +112,34 @@ def closed_form_bob_ket(n: int, gamma: float, theta: float) -> FockState:
     return bob_measurement_ket(n, math.pi / 4 - gamma, phi=theta)
 
 
-def closed_form_bob_density(n: int, gamma: float, theta: float, p: float) -> DensityOperator:
-    """Analytic target p |psi><psi| + (1-p) I/2 on Bob's two-branch basis."""
-    ket = closed_form_bob_ket(n, gamma, theta)
+def closed_form_bob_density(ket: FockState, p: float) -> DensityOperator:
+    """Analytic target p |psi><psi| + (1-p) I/2 on Bob's two-branch basis,
+    for the ket ``closed_form_bob_ket`` returns."""
+    n = (ket.total_photons + 1) // 2
     return white_noise_mixture(ket, ((n - 1, n), (n, n - 1)), p)
 
 
-def rsp_pure(shared: FockState, gamma: float, theta: float) -> tuple[float, FockState]:
+def rsp_pure(shared: FockState, phi: Projector) -> tuple[float, FockState]:
     """Remote preparation with a sharp single-photon projection (p = 1).
 
-    Projects Alice's photon of ``shared`` onto her measurement ket and
-    returns the outcome probability and Bob's ket.
+    Projects Alice's photon of ``shared`` with ``phi``, the projector on her
+    ``alice_measurement_ket``, and returns the outcome probability and Bob's
+    ket.
     """
-    return project(shared, Projector(alice_measurement_ket(gamma, theta)))
+    return project(shared, phi)
 
 
 def rsp_mixed(
-    shared: FockState, gamma: float, theta: float, p: float
+    shared: FockState | DensityOperator, phi: Projector, p: float
 ) -> tuple[float, DensityOperator]:
     """Remote preparation through the partial polarizer of strength p.
 
+    ``phi`` is Alice's projector as in ``rsp_pure``; a caller that scans p
+    passes ``to_density(shared)``, so the ket is promoted once.
     Returns the outcome probability and Bob's state. At p = 1 this is
     rsp_pure's state; at p = 0 Bob is left maximally mixed on his two-branch
     basis.
     """
-    phi = Projector(alice_measurement_ket(gamma, theta))
     return condition_on_povm(shared, partial_polarizer_povm(phi, p))
 
 

@@ -4,7 +4,8 @@ Each experiment's runner returns a list of per-point dicts (one per grid
 value, correlation setting, or state component) and a summary dict. Every
 point of a run has the same keys in the same order, and that order is the
 CSV column order. A runner builds ``protocol.shared_state(n)`` once for each
-distinct source size n and passes it to every preparation at that n.
+distinct source size n and passes it to every preparation at that n, and
+Alice's projector once for each (gamma, theta).
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 
 from . import __version__, analysis, protocol
 from .config import ScenarioConfig
-from .fock import inner_product, occupation_label, operator_distance
+from .fock import inner_product, occupation_label, operator_distance, to_density
+from .measurement import Projector
 
 
 def _scenario_echo(config: ScenarioConfig) -> dict:
@@ -48,9 +50,10 @@ def run_scenario(config: ScenarioConfig) -> dict:
 def _run_chsh(config: ScenarioConfig):
     state = analysis.white_noise_shared_state(config.n_pairs, config.p_strength)
     rng = np.random.default_rng(config.seed) if config.shots else None
+    kets = analysis.outcome_kets(config.n_pairs)
     points = []
     for s_kind, t_kind in analysis.CHSH_SETTINGS:
-        value, table = analysis.correlation(state, s_kind, t_kind, config.n_pairs)
+        value, table = analysis.correlation(state, s_kind, t_kind, config.n_pairs, kets)
         point = {
             "s_obs": s_kind,
             "t_obs": t_kind,
@@ -76,9 +79,14 @@ def _run_chsh(config: ScenarioConfig):
     return points, summary
 
 
+def _alice(gamma: float, theta: float) -> Projector:
+    return Projector(protocol.alice_measurement_ket(gamma, theta))
+
+
 def _run_fringe(config: ScenarioConfig, axis: str, knob: str):
     _, shared = protocol.shared_state(config.n_pairs)
-    _, rho = protocol.rsp_mixed(shared, config.gamma, config.theta, config.p_strength)
+    phi = _alice(config.gamma, config.theta)
+    _, rho = protocol.rsp_mixed(shared, phi, config.p_strength)
     scan = analysis.fringe_scan(rho, config.n_pairs, axis, config.grid.values())
     sampled = None
     if config.shots:
@@ -111,14 +119,13 @@ def _run_fringe(config: ScenarioConfig, axis: str, knob: str):
 def _run_mixed_state(config: ScenarioConfig):
     n, gamma, theta = config.n_pairs, config.gamma, config.theta
     target = protocol.closed_form_bob_ket(n, gamma, theta)
-    _, shared = protocol.shared_state(n)
+    shared = to_density(protocol.shared_state(n)[1])
+    phi = _alice(gamma, theta)
     points = []
     for p in config.grid.values():
-        _, rho = protocol.rsp_mixed(shared, gamma, theta, p)
+        _, rho = protocol.rsp_mixed(shared, phi, p)
         purity, fidelity = analysis.purity_and_fidelity(rho, target)
-        entry_error = operator_distance(
-            rho, protocol.closed_form_bob_density(n, gamma, theta, p)
-        )
+        entry_error = operator_distance(rho, protocol.closed_form_bob_density(target, p))
         points.append(
             {"p": p, "purity": purity, "fidelity": fidelity, "entry_error": entry_error}
         )
@@ -136,7 +143,8 @@ def _run_mixed_state(config: ScenarioConfig):
 
 def _run_populations(config: ScenarioConfig):
     _, shared = protocol.shared_state(config.n_pairs)
-    _, rho = protocol.rsp_mixed(shared, config.gamma, config.theta, config.p_strength)
+    phi = _alice(config.gamma, config.theta)
+    _, rho = protocol.rsp_mixed(shared, phi, config.p_strength)
     populations = analysis.component_populations(rho)
     total_photons = 2 * config.n_pairs - 1
     modes = rho.modes
@@ -158,14 +166,16 @@ def _run_general_n(config: ScenarioConfig):
     rng = np.random.default_rng(config.seed)
     sizes = [int(round(value)) for value in config.grid.values()]
     shared = {n: protocol.shared_state(n)[1] for n in set(sizes)}
+    density = {n: to_density(ket) for n, ket in shared.items()}
     points = []
     for n in sizes:
         for trial in range(config.trials):
             gamma = float(rng.uniform(0.0, math.pi / 4))
             theta = float(rng.uniform(0.0, 2 * math.pi))
             p = float(rng.uniform(0.0, 1.0))
-            _, bob = protocol.rsp_pure(shared[n], gamma, theta)
-            _, rho = protocol.rsp_mixed(shared[n], gamma, theta, p)
+            phi = _alice(gamma, theta)
+            _, bob = protocol.rsp_pure(shared[n], phi)
+            _, rho = protocol.rsp_mixed(density[n], phi, p)
             target = protocol.closed_form_bob_ket(n, gamma, theta)
             points.append(
                 {
@@ -176,7 +186,7 @@ def _run_general_n(config: ScenarioConfig):
                     "p": p,
                     "pure_overlap_error": abs(1.0 - abs(inner_product(target, bob))),
                     "mixed_entry_error": operator_distance(
-                        rho, protocol.closed_form_bob_density(n, gamma, theta, p)
+                        rho, protocol.closed_form_bob_density(target, p)
                     ),
                 }
             )
@@ -189,7 +199,7 @@ def _run_general_n(config: ScenarioConfig):
 
 def _run_distinguishability(config: ScenarioConfig):
     _, shared = protocol.shared_state(config.n_pairs)
-    _, bob = protocol.rsp_pure(shared, config.gamma, config.theta)
+    _, bob = protocol.rsp_pure(shared, _alice(config.gamma, config.theta))
     mixed = protocol.distinguishability_demo(bob, config.distinguishability)
     populations = analysis.component_populations(mixed)
     aux_pos = next(i for i, m in enumerate(mixed.modes) if m.tag > 0)

@@ -10,8 +10,9 @@ from rsp_sim import (
     BOB_V,
     CountTable,
     DensityOperator,
+    GridSpec,
     ScenarioConfig,
-    chsh,
+    chsh_value,
     closed_form_bob_ket,
     component_populations,
     correlation,
@@ -32,7 +33,8 @@ from rsp_sim import (
 )
 from rsp_sim import PRESETS, analysis, protocol, scenarios
 from rsp_sim.config import EXPERIMENTS
-from helpers import angdiff
+from rsp_sim.analysis import CHSH_SETTINGS
+from helpers import alice, angdiff
 
 RNG = np.random.default_rng(271828)
 
@@ -42,7 +44,7 @@ SQRT2 = math.sqrt(2.0)
 
 def _bob_state(gamma, theta, p=1.0):
     # Bob's n = 2 state after Alice's partial polarizer of strength p
-    return rsp_mixed(shared_state(2)[1], gamma, theta, p)[1]
+    return rsp_mixed(shared_state(2)[1], alice(gamma, theta), p)[1]
 
 
 def _qubit_occs(n=2):
@@ -120,7 +122,8 @@ def test_correlation_rejects_leaky_states():
 
 def test_chsh_reaches_tsirelson_on_shared_state():
     _, state = shared_state(2)
-    assert abs(chsh(state) - 2.0 * SQRT2) < 1e-9
+    s_value = chsh_value([correlation(state, s, t)[0] for s, t in CHSH_SETTINGS])
+    assert abs(s_value - 2.0 * SQRT2) < 1e-9
 
 
 def test_chsh_on_product_state_respects_classical_bound():
@@ -128,7 +131,7 @@ def test_chsh_on_product_state_respects_classical_bound():
         make_fock([(ALICE_H, 1), (ALICE_V, 0)]),
         make_fock([(BOB_H, 2), (BOB_V, 1)]),
     )
-    assert chsh(product) <= 2.0 + 1e-9
+    assert chsh_value([correlation(product, s, t)[0] for s, t in CHSH_SETTINGS]) <= 2.0 + 1e-9
     for _ in range(20):
         g = RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2))
         a = g @ g.conj().T
@@ -144,11 +147,12 @@ def test_chsh_on_product_state_respects_classical_bound():
             for j, oj in enumerate(order):
                 permuted[oi, oj] = joint[i, j]
         rho = DensityOperator(QUBIT_MODES, basis, permuted)
-        assert chsh(rho) <= 2.0 + 1e-9
+        assert chsh_value([correlation(rho, s, t)[0] for s, t in CHSH_SETTINGS]) <= 2.0 + 1e-9
 
 
 def test_chsh_with_white_noise_hits_published_value():
-    s = chsh(white_noise_shared_state(2, 0.958))
+    noisy = white_noise_shared_state(2, 0.958)
+    s = chsh_value([correlation(noisy, s_kind, t)[0] for s_kind, t in CHSH_SETTINGS])
     assert abs(s - 0.958 * 2.0 * SQRT2) < 1e-12
     assert abs(s - 2.71) <= 0.09
 
@@ -189,6 +193,37 @@ def test_chsh_scenario_builds_one_count_table_per_setting(monkeypatch):
     assert record["summary"]["chsh"] == analysis.chsh_value(
         [point["correlation"] for point in record["points"]]
     )
+
+
+@pytest.mark.parametrize(
+    "config,kets",
+    [
+        (
+            ScenarioConfig(
+                experiment="mixed_state", gamma=0.3, theta=1.1,
+                grid=GridSpec(0.0, 1.0, 41), seed=1,
+            ),
+            1,
+        ),
+        (PRESETS["eq10_general_n"], 48),
+        (PRESETS["table1_chsh"], 4),
+    ],
+    ids=["mixed_state-41-points", "eq10_general_n", "table1_chsh"],
+)
+def test_runners_build_each_alice_setting_once(config, kets, monkeypatch):
+    # once per run for a p sweep, once per (gamma, theta) trial, and once
+    # per CHSH outcome of Alice's two kinds
+    calls = []
+    original = protocol.alice_measurement_ket
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(protocol, "alice_measurement_ket", counting)
+    scenarios.run_scenario(config)
+    assert len(calls) == kets
+    assert len(set(calls)) == kets
 
 
 RUNNER_CONFIGS = {
@@ -288,7 +323,7 @@ def test_fit_fringe_flat_data_is_reported_not_fit():
 
 
 def test_component_populations_of_balanced_state():
-    _, bob = rsp_pure(shared_state(2)[1], math.pi / 8, 0.0)
+    _, bob = rsp_pure(shared_state(2)[1], alice(math.pi / 8, 0.0))
     pops = component_populations(to_density(bob))
     assert abs(pops[(2, 1)] - 0.5) < 1e-12
     assert abs(pops[(1, 2)] - 0.5) < 1e-12
@@ -314,7 +349,7 @@ def test_purity_and_fidelity_formulas():
         assert abs(fidelity - (v.conj() @ rho @ v).real) < 1e-12
         assert abs(purity - (1 + p * p) / 2.0) < 1e-12
         assert abs(fidelity - (1 + p) / 2.0) < 1e-12
-    _, pure = rsp_pure(shared_state(2)[1], math.pi / 8, 0.0)
+    _, pure = rsp_pure(shared_state(2)[1], alice(math.pi / 8, 0.0))
     purity, fidelity = purity_and_fidelity(to_density(pure), target)
     assert abs(purity - 1.0) < 1e-12
     assert abs(fidelity - 1.0) < 1e-12

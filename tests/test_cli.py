@@ -91,6 +91,35 @@ def test_nan_angle_exits_2_without_output(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == [cfg]  # nothing written
 
 
+@pytest.mark.parametrize(
+    "gamma",
+    [
+        pytest.param("-" * 5000 + "1", id="deep-unary"),
+        pytest.param("1" + "*1" * 200000, id="long-product"),
+    ],
+)
+def test_oversized_angle_expression_exits_2(gamma, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(f"experiment = populations\ngamma = {gamma}\n")
+    assert cli.main(["run", str(cfg)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "schema"
+    assert list(tmp_path.iterdir()) == [cfg]  # nothing written
+
+
+@pytest.mark.parametrize("output", ['{"a": 1}', "5", '["out.json"]'])
+def test_non_string_output_exits_2(output, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "out.json"
+    cfg.write_text(f'{{"experiment": "chsh", "output": {output}}}')
+    assert cli.main(["run", str(cfg)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "schema"
+    assert "output" in err["error"]["message"]
+    assert list(tmp_path.iterdir()) == [cfg]  # nothing written
+
+
 def test_source_size_past_float_range_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "big.cfg"

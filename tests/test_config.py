@@ -4,7 +4,13 @@ import math
 import pytest
 
 from rsp_sim import GridSpec, ScenarioConfig, SchemaError, load_config, parse_angle
-from rsp_sim.config import MAX_GRID_POINTS, MAX_SHOTS, MAX_TRIALS, config_from_mapping
+from rsp_sim.config import (
+    MAX_ANGLE_CHARS,
+    MAX_GRID_POINTS,
+    MAX_SHOTS,
+    MAX_TRIALS,
+    config_from_mapping,
+)
 
 
 @pytest.mark.parametrize(
@@ -32,6 +38,8 @@ def test_parse_angle_accepts_numbers():
     "bad",
     [
         "abc", "pi**2", "cos(1)", "__import__('os')", "1; 2", "e", "pi/0", True, None,
+        pytest.param("True", id="str-True"), pytest.param("False", id="str-False"),
+        "True*pi", "-False",
         math.nan, math.inf, "1e400", "-1e308*10",
         pytest.param(10**400, id="int-overflow"),
         pytest.param("1" + "0" * 400, id="int-literal-overflow"),
@@ -223,3 +231,20 @@ def test_mixed_state_grid_is_checked_before_the_run():
         config_from_mapping(
             {"experiment": "mixed_state", "grid_start": 0, "grid_stop": 1.5, "grid_points": 4}
         )
+
+
+def test_angle_expression_length_is_capped():
+    # the longest accepted expression nests as deep as it is long
+    assert parse_angle("-" * (MAX_ANGLE_CHARS - 1) + "1") == -1.0
+    with pytest.raises(SchemaError, match="characters"):
+        parse_angle("-" * MAX_ANGLE_CHARS + "1")
+
+
+@pytest.mark.parametrize("experiment", ["chsh", "populations", "distinguishability_demo"])
+def test_grid_refused_where_the_experiment_uses_none(experiment):
+    with pytest.raises(SchemaError, match="takes no grid"):
+        config_from_mapping(
+            {"experiment": experiment, "grid_start": 0, "grid_stop": 1, "grid_points": -3}
+        )
+    with pytest.raises(SchemaError, match="takes no grid"):
+        ScenarioConfig(experiment=experiment, grid=GridSpec(0.0, 1.0, 5)).validate()

@@ -30,13 +30,13 @@ RNG = np.random.default_rng(20240811)
 def test_make_fock_single_term():
     s = make_fock([(SOURCE_H, 2), (SOURCE_V, 2)])
     assert s.total_photons == 4
-    assert s.amplitude((2, 2)) == 1.0 + 0j
+    assert s.amps.get((2, 2), 0j) == 1.0 + 0j
     assert len(s.amps) == 1
 
 
 def test_make_fock_one_photon():
     s = make_fock([(ALICE_H, 1)])
-    assert s.amplitude((1,)) == 1.0
+    assert s.amps.get((1,), 0j) == 1.0
     assert s.modes == (ALICE_H,)
 
 
@@ -210,3 +210,30 @@ def test_density_operator_validate():
     bad = DensityOperator(rho.modes, rho.basis, rho.matrix * 2.0)
     with pytest.raises(ValueError):
         bad.validate()
+
+
+def test_unchecked_constructors_match_the_checked_ones():
+    # what the library builds for itself skips the mode and basis checks but
+    # stores the same bits: plain complex, pruned, each amplitude added to 0j
+    amps = {
+        (2, 0): np.complex128(complex(-0.0, 0.6)),
+        (1, 1): np.complex128(complex(-0.8, -0.0)),
+        (0, 2): 1e-16,
+    }
+    modes = (ALICE_H, ALICE_V)
+    checked, unchecked = FockState(modes, amps), FockState._unchecked(modes, amps)
+    assert repr(list(unchecked.amps.items())) == repr(list(checked.amps.items()))
+    assert list(checked.amps) == [(2, 0), (1, 1)]
+    # 0j + a turns a -0.0 part into +0.0
+    assert math.copysign(1.0, unchecked.amps[(2, 0)].real) == 1.0
+    assert math.copysign(1.0, unchecked.amps[(1, 1)].imag) == 1.0
+    assert all(type(a) is complex for a in unchecked.amps.values())
+    assert unchecked.modes == checked.modes
+    assert unchecked.total_photons == checked.total_photons == 2
+    with pytest.raises(ValueError, match="no support"):
+        FockState._unchecked(modes, {(2, 0): 1e-16})
+    rho = to_density(checked)
+    same = DensityOperator(rho.modes, rho.basis, rho.matrix)
+    assert (rho.modes, rho.basis) == (same.modes, same.basis)
+    assert np.array_equal(rho.matrix, same.matrix)
+    assert rho.entry((2, 0), (1, 1)) == same.entry((2, 0), (1, 1))
