@@ -47,6 +47,7 @@ from .measurement import (
 )
 from .protocol import (
     alice_measurement_ket,
+    alice_projector,
     bob_measurement_ket,
     build_source,
     closed_form_bob_density,

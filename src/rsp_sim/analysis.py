@@ -148,18 +148,15 @@ def count_table(
     state: FockState | DensityOperator,
     s_kind: str,
     t_kind: str,
-    n: int = 2,
-    kets: dict[str, tuple[FockState, FockState]] | None = None,
+    kets: dict[str, tuple[FockState, FockState]],
 ) -> CountTable:
     """Expected outcome table using the physical wave-plate settings.
 
-    ``kets`` is ``outcome_kets(n)``, built once by a caller that evaluates
-    several settings; without it the kets are built here.
+    ``kets`` is ``outcome_kets(n)`` for the state's source size n, built once
+    by the caller and shared by every setting it evaluates.
     """
     rho = _coerce_density(state)
     _kinds(s_kind, t_kind)
-    if kets is None:
-        kets = outcome_kets(n)
     # outcome order ++, +-, -+, --
     return CountTable(
         *(
@@ -174,16 +171,16 @@ def correlation(
     state: FockState | DensityOperator,
     s_kind: str,
     t_kind: str,
-    n: int = 2,
-    kets: dict[str, tuple[FockState, FockState]] | None = None,
+    n: int,
+    kets: dict[str, tuple[FockState, FockState]],
 ) -> tuple[float, CountTable]:
     """Joint expectation value of a single-photon and a multi-photon setting.
 
     Computed as Tr(rho (S (x) T)) and cross-checked against the instrument
     count estimator (N++ + N-- - N+- - N-+) / N; disagreement beyond
     ``ROUTE_TOL`` means a bug and raises. Returns the trace-route value and
-    the count table it was checked against; ``kets`` is passed on to
-    ``count_table``.
+    the count table it was checked against; ``kets`` is ``outcome_kets(n)``,
+    passed on to ``count_table``.
     """
     rho = _coerce_density(state)
     sub = _subspace_matrix(rho, n)
@@ -191,7 +188,7 @@ def correlation(
     # S (x) T as a 4x4 matrix over (a, b) x (c, d), then Tr(sub (S (x) T))
     kron = np.einsum("ac,bd->abcd", s_matrix, t_matrix).reshape(4, 4)
     value = float(np.einsum("ij,ji->", sub, kron).real)
-    table = count_table(rho, s_kind, t_kind, n, kets)
+    table = count_table(rho, s_kind, t_kind, kets)
     counted = table.correlation()
     if abs(value - counted) > ROUTE_TOL:
         raise RuntimeError(

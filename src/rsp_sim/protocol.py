@@ -12,8 +12,8 @@ simulating the optical elements, never by inserting the closed forms.
 Each stage takes the value the previous one returned. ``shared_state(n)``
 depends only on the source size, so a caller builds it once per n and
 passes it to ``rsp_pure`` or ``rsp_mixed`` for every setting of Alice's
-instrument. That setting is a ``Projector`` on ``alice_measurement_ket``,
-built once per (gamma, theta) and reused for every p;
+instrument. That setting is ``alice_projector(gamma, theta)``, built once
+per (gamma, theta) and reused for every p;
 ``distinguishability_demo`` takes the ket ``rsp_pure`` made.
 """
 
@@ -35,6 +35,7 @@ from .fock import (
     FockState,
     Location,
     Mode,
+    ModeMismatchError,
     Polarization,
     extend_modes,
     make_fock,
@@ -94,6 +95,12 @@ def alice_measurement_ket(gamma: float, theta: float = 0.0) -> FockState:
     return ket.normalized()
 
 
+def alice_projector(gamma: float, theta: float = 0.0) -> Projector:
+    """Alice's instrument at one (gamma, theta) setting, as the projector on
+    her ``alice_measurement_ket``."""
+    return Projector(alice_measurement_ket(gamma, theta))
+
+
 def bob_measurement_ket(n: int, delta: float, phi: float = 0.0) -> FockState:
     """Bob's analysis ket cos(2 delta)|n,(n-1)> + e^{i phi} sin(2 delta)|(n-1),n>."""
     hi = make_fock([(BOB_H, n), (BOB_V, n - 1)])
@@ -115,16 +122,22 @@ def closed_form_bob_ket(n: int, gamma: float, theta: float) -> FockState:
 def closed_form_bob_density(ket: FockState, p: float) -> DensityOperator:
     """Analytic target p |psi><psi| + (1-p) I/2 on Bob's two-branch basis,
     for the ket ``closed_form_bob_ket`` returns."""
+    if ket.modes != (BOB_H, BOB_V):
+        raise ModeMismatchError("closed-form density expects a ket on Bob's H and V modes")
     n = (ket.total_photons + 1) // 2
-    return white_noise_mixture(ket, ((n - 1, n), (n, n - 1)), p)
+    basis = ((n - 1, n), (n, n - 1))
+    if not set(ket.amps) <= set(basis):
+        raise ValueError(f"ket is not on Bob's two-branch basis for n={n}")
+    return white_noise_mixture(ket, basis, p)
 
 
 def rsp_pure(shared: FockState, phi: Projector) -> tuple[float, FockState]:
     """Remote preparation with a sharp single-photon projection (p = 1).
 
-    Projects Alice's photon of ``shared`` with ``phi``, the projector on her
-    ``alice_measurement_ket``, and returns the outcome probability and Bob's
-    ket.
+    Projects Alice's photon of ``shared`` with ``phi``, her
+    ``alice_projector``, and returns the outcome probability and Bob's ket.
+    This is ``project`` under the paper's name for the sharp stage, the
+    p = 1 partner of ``rsp_mixed``.
     """
     return project(shared, phi)
 

@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__, analysis, protocol
 from .config import ScenarioConfig
 from .fock import inner_product, occupation_label, operator_distance, to_density
-from .measurement import Projector
 
 
 def _scenario_echo(config: ScenarioConfig) -> dict:
@@ -79,13 +78,9 @@ def _run_chsh(config: ScenarioConfig):
     return points, summary
 
 
-def _alice(gamma: float, theta: float) -> Projector:
-    return Projector(protocol.alice_measurement_ket(gamma, theta))
-
-
 def _run_fringe(config: ScenarioConfig, axis: str, knob: str):
     _, shared = protocol.shared_state(config.n_pairs)
-    phi = _alice(config.gamma, config.theta)
+    phi = protocol.alice_projector(config.gamma, config.theta)
     _, rho = protocol.rsp_mixed(shared, phi, config.p_strength)
     scan = analysis.fringe_scan(rho, config.n_pairs, axis, config.grid.values())
     sampled = None
@@ -120,7 +115,7 @@ def _run_mixed_state(config: ScenarioConfig):
     n, gamma, theta = config.n_pairs, config.gamma, config.theta
     target = protocol.closed_form_bob_ket(n, gamma, theta)
     shared = to_density(protocol.shared_state(n)[1])
-    phi = _alice(gamma, theta)
+    phi = protocol.alice_projector(gamma, theta)
     points = []
     for p in config.grid.values():
         _, rho = protocol.rsp_mixed(shared, phi, p)
@@ -143,7 +138,7 @@ def _run_mixed_state(config: ScenarioConfig):
 
 def _run_populations(config: ScenarioConfig):
     _, shared = protocol.shared_state(config.n_pairs)
-    phi = _alice(config.gamma, config.theta)
+    phi = protocol.alice_projector(config.gamma, config.theta)
     _, rho = protocol.rsp_mixed(shared, phi, config.p_strength)
     populations = analysis.component_populations(rho)
     total_photons = 2 * config.n_pairs - 1
@@ -173,7 +168,7 @@ def _run_general_n(config: ScenarioConfig):
             gamma = float(rng.uniform(0.0, math.pi / 4))
             theta = float(rng.uniform(0.0, 2 * math.pi))
             p = float(rng.uniform(0.0, 1.0))
-            phi = _alice(gamma, theta)
+            phi = protocol.alice_projector(gamma, theta)
             _, bob = protocol.rsp_pure(shared[n], phi)
             _, rho = protocol.rsp_mixed(density[n], phi, p)
             target = protocol.closed_form_bob_ket(n, gamma, theta)
@@ -199,7 +194,7 @@ def _run_general_n(config: ScenarioConfig):
 
 def _run_distinguishability(config: ScenarioConfig):
     _, shared = protocol.shared_state(config.n_pairs)
-    _, bob = protocol.rsp_pure(shared, _alice(config.gamma, config.theta))
+    _, bob = protocol.rsp_pure(shared, protocol.alice_projector(config.gamma, config.theta))
     mixed = protocol.distinguishability_demo(bob, config.distinguishability)
     populations = analysis.component_populations(mixed)
     aux_pos = next(i for i, m in enumerate(mixed.modes) if m.tag > 0)

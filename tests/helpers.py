@@ -13,10 +13,8 @@ from rsp_sim import (
     BOB_V,
     FockState,
     Mode,
-    Projector,
     SOURCE_H,
     SOURCE_V,
-    alice_measurement_ket,
     make_fock,
     superpose,
     tensor,
@@ -29,11 +27,6 @@ def angdiff(a: float, b: float, period: float = 2 * math.pi) -> float:
     """Smallest absolute difference between two angles modulo ``period``."""
     d = (a - b) % period
     return min(d, period - d)
-
-
-def alice(gamma: float, theta: float) -> Projector:
-    """Alice's projector for one (gamma, theta) setting of her instrument."""
-    return Projector(alice_measurement_ket(gamma, theta))
 
 
 def state_distance(a: FockState, b: FockState) -> float:

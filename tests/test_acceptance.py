@@ -11,6 +11,7 @@ import numpy as np
 
 import rsp_sim.cli as cli
 from rsp_sim import (
+    alice_projector,
     chsh_value,
     closed_form_bob_density,
     closed_form_bob_ket,
@@ -21,6 +22,7 @@ from rsp_sim import (
     fringe_scan,
     inner_product,
     operator_distance,
+    outcome_kets,
     purity_and_fidelity,
     rsp_mixed,
     rsp_pure,
@@ -29,7 +31,7 @@ from rsp_sim import (
     white_noise_shared_state,
 )
 from rsp_sim.analysis import CHSH_SETTINGS
-from helpers import alice, angdiff, reference_shared_ket, tagged_population
+from helpers import angdiff, reference_shared_ket, tagged_population
 from oracles import splitter_herald_amplitudes
 
 SQRT2 = math.sqrt(2.0)
@@ -60,17 +62,18 @@ def test_criterion_1_shared_state_derivation():
 def test_criterion_2_chsh_both_routes_and_noise_band():
     start = time.perf_counter()
     _, state = shared_state(2)
-    s_operator = chsh_value([correlation(state, s, t)[0] for s, t in CHSH_SETTINGS])
+    kets = outcome_kets(2)
+    s_operator = chsh_value([correlation(state, s, t, 2, kets)[0] for s, t in CHSH_SETTINGS])
     assert abs(s_operator - 2.0 * SQRT2) < 1e-9
     rho = to_density(state)
     counted = [
-        count_table(rho, s, t).correlation()
+        count_table(rho, s, t, kets).correlation()
         for s, t in (("mu_s", "mu_t"), ("mu_s", "pi_t"), ("pi_s", "mu_t"), ("pi_s", "pi_t"))
     ]
     s_counts = abs(-counted[0] + counted[1] + counted[2] + counted[3])
     assert abs(s_counts - 2.0 * SQRT2) < 1e-9
     noisy = white_noise_shared_state(2, 0.958)
-    s_noisy = chsh_value([correlation(noisy, s, t)[0] for s, t in CHSH_SETTINGS])
+    s_noisy = chsh_value([correlation(noisy, s, t, 2, kets)[0] for s, t in CHSH_SETTINGS])
     assert abs(s_noisy - 2.71) <= 0.09
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -87,13 +90,13 @@ def test_criterion_3_phase_fringes():
     visibilities = (0.938, 0.978, 0.974)
     _, shared = shared_state(2)
     for theta in thetas:
-        _, rho = rsp_mixed(shared, alice(math.pi / 8, theta), 1.0)
+        _, rho = rsp_mixed(shared, alice_projector(math.pi / 8, theta), 1.0)
         scan = fringe_scan(rho, 2, "phase_phi", grid)
         for phi, prob in zip(scan.grid, scan.probabilities):
             assert abs(prob - 0.5 * (1.0 + math.cos(phi - theta))) < 1e-12
         assert angdiff(scan.fitted_offset, theta) < 1e-9
     for theta, p in zip(thetas, visibilities):
-        _, rho = rsp_mixed(shared, alice(math.pi / 8, theta), p)
+        _, rho = rsp_mixed(shared, alice_projector(math.pi / 8, theta), p)
         noisy = fringe_scan(rho, 2, "phase_phi", grid)
         assert abs(noisy.fitted_visibility - p) < 1e-9
         assert angdiff(noisy.fitted_offset, theta) < 1e-9
@@ -107,7 +110,7 @@ def test_criterion_4_amplitude_fringes():
     _, shared = shared_state(2)
     for _ in range(20):
         gamma = float(rng.uniform(0.0, math.pi / 4.0))
-        _, rho = rsp_mixed(shared, alice(gamma, 0.0), 1.0)
+        _, rho = rsp_mixed(shared, alice_projector(gamma, 0.0), 1.0)
         scan = fringe_scan(rho, 2, "angle_delta", grid)
         for delta, prob in zip(scan.grid, scan.probabilities):
             assert abs(prob - 0.5 * (1.0 - math.cos(4.0 * (delta + gamma)))) < 1e-12
@@ -119,7 +122,7 @@ def test_criterion_4_amplitude_fringes():
 
 
 def test_criterion_5_component_populations():
-    _, bob = rsp_pure(shared_state(2)[1], alice(math.pi / 8, 0.0))
+    _, bob = rsp_pure(shared_state(2)[1], alice_projector(math.pi / 8, 0.0))
     pops = component_populations(to_density(bob))
     extreme_high = pops.get((3, 0), 0.0)
     extreme_low = pops.get((0, 3), 0.0)
@@ -137,7 +140,7 @@ def test_criterion_6_mixed_state_preparation():
     target = closed_form_bob_ket(2, math.pi / 8, 0.0)
     _, shared = shared_state(2)
     for p in (0.0, 0.25, 0.5, 0.75, 1.0):
-        _, bob_state = rsp_mixed(shared, alice(math.pi / 8, 0.0), p)
+        _, bob_state = rsp_mixed(shared, alice_projector(math.pi / 8, 0.0), p)
         assert operator_distance(
             bob_state, closed_form_bob_density(closed_form_bob_ket(2, math.pi / 8, 0.0), p)
         ) < 1e-12
@@ -162,10 +165,10 @@ def test_criterion_7_general_source_sizes():
             gamma = float(rng.uniform(0.0, math.pi / 4.0))
             theta = float(rng.uniform(0.0, 2.0 * math.pi))
             p = float(rng.uniform(0.0, 1.0))
-            _, bob_ket = rsp_pure(shared, alice(gamma, theta))
+            _, bob_ket = rsp_pure(shared, alice_projector(gamma, theta))
             overlap = abs(inner_product(closed_form_bob_ket(n, gamma, theta), bob_ket))
             worst_pure = max(worst_pure, abs(1.0 - overlap))
-            _, bob_state = rsp_mixed(shared, alice(gamma, theta), p)
+            _, bob_state = rsp_mixed(shared, alice_projector(gamma, theta), p)
             worst_mixed = max(
                 worst_mixed,
                 operator_distance(
@@ -185,11 +188,11 @@ def test_criterion_7_general_source_sizes():
 
 def test_criterion_8_distinguishability_contrast():
     _, shared = shared_state(2)
-    _, bob_ket = rsp_pure(shared, alice(math.pi / 8, 0.0))
+    _, bob_ket = rsp_pure(shared, alice_projector(math.pi / 8, 0.0))
     tagged_total = tagged_population(distinguishability_demo(bob_ket, 0.5))
     assert tagged_total > 0.05
     for p in (0.0, 0.3, 0.7, 1.0):
-        _, bob_state = rsp_mixed(shared, alice(math.pi / 8, 0.0), p)
+        _, bob_state = rsp_mixed(shared, alice_projector(math.pi / 8, 0.0), p)
         assert set(bob_state.basis) == {(2, 1), (1, 2)}
         assert all(mode.tag == 0 for mode in bob_state.modes)
     _report(

@@ -12,6 +12,7 @@ from rsp_sim import (
     DensityOperator,
     GridSpec,
     ScenarioConfig,
+    alice_projector,
     chsh_value,
     closed_form_bob_ket,
     component_populations,
@@ -20,6 +21,7 @@ from rsp_sim import (
     fit_fringe,
     fringe_scan,
     make_fock,
+    outcome_kets,
     purity_and_fidelity,
     rsp_mixed,
     rsp_pure,
@@ -34,17 +36,18 @@ from rsp_sim import (
 from rsp_sim import PRESETS, analysis, protocol, scenarios
 from rsp_sim.config import EXPERIMENTS
 from rsp_sim.analysis import CHSH_SETTINGS
-from helpers import alice, angdiff
+from helpers import angdiff
 
 RNG = np.random.default_rng(271828)
 
 QUBIT_MODES = (ALICE_H, ALICE_V, BOB_H, BOB_V)
 SQRT2 = math.sqrt(2.0)
+KETS = outcome_kets(2)
 
 
 def _bob_state(gamma, theta, p=1.0):
     # Bob's n = 2 state after Alice's partial polarizer of strength p
-    return rsp_mixed(shared_state(2)[1], alice(gamma, theta), p)[1]
+    return rsp_mixed(shared_state(2)[1], alice_projector(gamma, theta), p)[1]
 
 
 def _qubit_occs(n=2):
@@ -78,9 +81,9 @@ def test_observable_matrices_have_unit_eigenvalues():
     _, state = shared_state(2)
     for pair in (("sigma_y", "mu_t"), ("mu_s", "sigma_y"), ("mu_t", "mu_s")):
         with pytest.raises(ValueError):
-            correlation(state, *pair)
+            correlation(state, *pair, 2, KETS)
         with pytest.raises(ValueError):
-            count_table(state, *pair)
+            count_table(state, *pair, KETS)
 
 
 def test_sigma_zz_is_perfectly_anticorrelated():
@@ -88,8 +91,8 @@ def test_sigma_zz_is_perfectly_anticorrelated():
     # z-type observables anti-correlate on the shared state; sigma_z on Alice
     # is (mu_s - pi_s)/sqrt(2) and sigma_z on Bob is mu_t
     _, state = shared_state(2)
-    e_mu, _ = correlation(state, "mu_s", "mu_t")
-    e_pi, _ = correlation(state, "pi_s", "mu_t")
+    e_mu, _ = correlation(state, "mu_s", "mu_t", 2, KETS)
+    e_pi, _ = correlation(state, "pi_s", "mu_t", 2, KETS)
     assert abs((e_mu - e_pi) / SQRT2 + 1.0) < 1e-12
 
 
@@ -97,16 +100,16 @@ def test_correlation_on_maximally_mixed_state_vanishes():
     basis = tuple(sorted(_qubit_occs()))
     rho = DensityOperator(QUBIT_MODES, basis, np.eye(4, dtype=complex) / 4.0)
     for pair in (("mu_s", "mu_t"), ("pi_s", "pi_t"), ("mu_s", "pi_t")):
-        value, table = correlation(rho, *pair)
+        value, table = correlation(rho, *pair, 2, KETS)
         assert abs(value) < 1e-12
         assert abs(table.correlation()) < 1e-12
 
 
 def test_diagonal_correlation_value():
     _, state = shared_state(2)
-    value, table = correlation(state, "mu_s", "mu_t")
+    value, table = correlation(state, "mu_s", "mu_t", 2, KETS)
     assert abs(value + 1.0 / SQRT2) < 1e-12
-    assert table == count_table(state, "mu_s", "mu_t")
+    assert table == count_table(state, "mu_s", "mu_t", KETS)
 
 
 def test_correlation_rejects_leaky_states():
@@ -117,12 +120,12 @@ def test_correlation_rejects_leaky_states():
     m[4, 4] = 1e-6
     rho = DensityOperator(QUBIT_MODES, basis, m)
     with pytest.raises(ValueError, match="leak"):
-        correlation(rho, "mu_s", "mu_t")
+        correlation(rho, "mu_s", "mu_t", 2, KETS)
 
 
 def test_chsh_reaches_tsirelson_on_shared_state():
     _, state = shared_state(2)
-    s_value = chsh_value([correlation(state, s, t)[0] for s, t in CHSH_SETTINGS])
+    s_value = chsh_value([correlation(state, s, t, 2, KETS)[0] for s, t in CHSH_SETTINGS])
     assert abs(s_value - 2.0 * SQRT2) < 1e-9
 
 
@@ -131,7 +134,8 @@ def test_chsh_on_product_state_respects_classical_bound():
         make_fock([(ALICE_H, 1), (ALICE_V, 0)]),
         make_fock([(BOB_H, 2), (BOB_V, 1)]),
     )
-    assert chsh_value([correlation(product, s, t)[0] for s, t in CHSH_SETTINGS]) <= 2.0 + 1e-9
+    product_chsh = chsh_value([correlation(product, s, t, 2, KETS)[0] for s, t in CHSH_SETTINGS])
+    assert product_chsh <= 2.0 + 1e-9
     for _ in range(20):
         g = RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2))
         a = g @ g.conj().T
@@ -147,12 +151,13 @@ def test_chsh_on_product_state_respects_classical_bound():
             for j, oj in enumerate(order):
                 permuted[oi, oj] = joint[i, j]
         rho = DensityOperator(QUBIT_MODES, basis, permuted)
-        assert chsh_value([correlation(rho, s, t)[0] for s, t in CHSH_SETTINGS]) <= 2.0 + 1e-9
+        rho_chsh = chsh_value([correlation(rho, s, t, 2, KETS)[0] for s, t in CHSH_SETTINGS])
+        assert rho_chsh <= 2.0 + 1e-9
 
 
 def test_chsh_with_white_noise_hits_published_value():
     noisy = white_noise_shared_state(2, 0.958)
-    s = chsh_value([correlation(noisy, s_kind, t)[0] for s_kind, t in CHSH_SETTINGS])
+    s = chsh_value([correlation(noisy, s_kind, t, 2, KETS)[0] for s_kind, t in CHSH_SETTINGS])
     assert abs(s - 0.958 * 2.0 * SQRT2) < 1e-12
     assert abs(s - 2.71) <= 0.09
 
@@ -164,8 +169,8 @@ def test_count_route_equals_operator_route_on_random_states():
         rho = _random_qubit_density(RNG)
         s_kind = kinds_s[int(RNG.integers(0, 2))]
         t_kind = kinds_t[int(RNG.integers(0, 2))]
-        by_counts = count_table(rho, s_kind, t_kind).correlation()
-        by_trace, _ = correlation(rho, s_kind, t_kind)  # internally cross-checked
+        by_counts = count_table(rho, s_kind, t_kind, KETS).correlation()
+        by_trace, _ = correlation(rho, s_kind, t_kind, 2, KETS)  # internally cross-checked
         assert abs(by_counts - by_trace) < 1e-12
 
 
@@ -174,7 +179,7 @@ def test_chsh_via_instrument_angles_only():
     rho = to_density(state)
     values = []
     for pair in (("mu_s", "mu_t"), ("mu_s", "pi_t"), ("pi_s", "mu_t"), ("pi_s", "pi_t")):
-        values.append(count_table(rho, *pair).correlation())
+        values.append(count_table(rho, *pair, KETS).correlation())
     s = abs(-values[0] + values[1] + values[2] + values[3])
     assert abs(s - 2.0 * SQRT2) < 1e-9
 
@@ -323,7 +328,7 @@ def test_fit_fringe_flat_data_is_reported_not_fit():
 
 
 def test_component_populations_of_balanced_state():
-    _, bob = rsp_pure(shared_state(2)[1], alice(math.pi / 8, 0.0))
+    _, bob = rsp_pure(shared_state(2)[1], alice_projector(math.pi / 8, 0.0))
     pops = component_populations(to_density(bob))
     assert abs(pops[(2, 1)] - 0.5) < 1e-12
     assert abs(pops[(1, 2)] - 0.5) < 1e-12
@@ -349,7 +354,7 @@ def test_purity_and_fidelity_formulas():
         assert abs(fidelity - (v.conj() @ rho @ v).real) < 1e-12
         assert abs(purity - (1 + p * p) / 2.0) < 1e-12
         assert abs(fidelity - (1 + p) / 2.0) < 1e-12
-    _, pure = rsp_pure(shared_state(2)[1], alice(math.pi / 8, 0.0))
+    _, pure = rsp_pure(shared_state(2)[1], alice_projector(math.pi / 8, 0.0))
     purity, fidelity = purity_and_fidelity(to_density(pure), target)
     assert abs(purity - 1.0) < 1e-12
     assert abs(fidelity - 1.0) < 1e-12

@@ -6,6 +6,8 @@ import pytest
 from rsp_sim import (
     BOB_H,
     BOB_V,
+    ModeMismatchError,
+    alice_projector,
     bob_measurement_ket,
     build_source,
     closed_form_bob_density,
@@ -22,7 +24,7 @@ from rsp_sim import (
     to_density,
 )
 from rsp_sim.protocol import alice_measurement_ket
-from helpers import alice, reference_shared_ket, tagged_population
+from helpers import reference_shared_ket, tagged_population
 from oracles import splitter_herald_amplitudes
 
 RNG = np.random.default_rng(31415)
@@ -85,7 +87,7 @@ def test_alice_measurement_ket_matches_instrument_form():
 
 def test_rsp_pure_balanced_preparation():
     herald_probability, shared = shared_state(2)
-    alice_probability, bob = rsp_pure(shared, alice(math.pi / 8, 0.0))
+    alice_probability, bob = rsp_pure(shared, alice_projector(math.pi / 8, 0.0))
     inv = 1.0 / math.sqrt(2.0)
     target = superpose([
         (inv, make_fock([(BOB_H, 2), (BOB_V, 1)])),
@@ -97,13 +99,13 @@ def test_rsp_pure_balanced_preparation():
 
 
 def test_rsp_pure_endpoint_prepares_single_component():
-    _, bob = rsp_pure(shared_state(2)[1], alice(math.pi / 4, 0.0))
+    _, bob = rsp_pure(shared_state(2)[1], alice_projector(math.pi / 4, 0.0))
     assert abs(abs(bob.amps.get((2, 1), 0j)) - 1.0) < 1e-12
     assert bob.amps.get((1, 2), 0j) == 0j
 
 
 def test_rsp_pure_three_pair_with_phase():
-    _, bob = rsp_pure(shared_state(3)[1], alice(math.pi / 8, math.pi / 2))
+    _, bob = rsp_pure(shared_state(3)[1], alice_projector(math.pi / 8, math.pi / 2))
     inv = 1.0 / math.sqrt(2.0)
     target = superpose([
         (inv, make_fock([(BOB_H, 3), (BOB_V, 2)])),
@@ -114,17 +116,17 @@ def test_rsp_pure_three_pair_with_phase():
 
 def test_rsp_mixed_limits():
     _, shared = shared_state(2)
-    _, pure = rsp_pure(shared, alice(0.2, 0.8))
-    _, sharp = rsp_mixed(shared, alice(0.2, 0.8), 1.0)
+    _, pure = rsp_pure(shared, alice_projector(0.2, 0.8))
+    _, sharp = rsp_mixed(shared, alice_projector(0.2, 0.8), 1.0)
     assert operator_distance(sharp, to_density(pure)) < 1e-12
-    _, flat = rsp_mixed(shared, alice(0.2, 0.8), 0.0)
+    _, flat = rsp_mixed(shared, alice_projector(0.2, 0.8), 0.0)
     assert abs(flat.entry((2, 1), (2, 1)) - 0.5) < 1e-12
     assert abs(flat.entry((1, 2), (1, 2)) - 0.5) < 1e-12
     assert abs(flat.entry((2, 1), (1, 2))) < 1e-12
 
 
 def test_rsp_mixed_purity_at_point_six():
-    _, rho = rsp_mixed(shared_state(2)[1], alice(math.pi / 8, 0.0), 0.6)
+    _, rho = rsp_mixed(shared_state(2)[1], alice_projector(math.pi / 8, 0.0), 0.6)
     purity = float(np.trace(rho.matrix @ rho.matrix).real)
     assert abs(purity - 0.68) < 1e-12
 
@@ -135,7 +137,7 @@ def test_pipeline_matches_closed_form_across_sources():
         for _ in range(50):
             gamma = float(RNG.uniform(0, math.pi / 4))
             theta = float(RNG.uniform(0, 2 * math.pi))
-            _, bob = rsp_pure(shared, alice(gamma, theta))
+            _, bob = rsp_pure(shared, alice_projector(gamma, theta))
             target = closed_form_bob_ket(n, gamma, theta)
             assert abs(abs(inner_product(target, bob)) - 1.0) < 1e-10
 
@@ -147,13 +149,13 @@ def test_mixed_pipeline_matches_closed_form():
             gamma = float(RNG.uniform(0, math.pi / 4))
             theta = float(RNG.uniform(0, 2 * math.pi))
             p = float(RNG.uniform(0, 1))
-            _, rho = rsp_mixed(shared, alice(gamma, theta), p)
+            _, rho = rsp_mixed(shared, alice_projector(gamma, theta), p)
             target = closed_form_bob_density(closed_form_bob_ket(n, gamma, theta), p)
             assert operator_distance(rho, target) < 1e-10
 
 
 def test_phase_fringe_law_pointwise():
-    _, bob = rsp_pure(shared_state(2)[1], alice(math.pi / 8, 1.3))
+    _, bob = rsp_pure(shared_state(2)[1], alice_projector(math.pi / 8, 1.3))
     rho = to_density(bob)
     from rsp_sim import expectation
 
@@ -165,7 +167,7 @@ def test_phase_fringe_law_pointwise():
 
 def test_amplitude_fringe_law_pointwise():
     gamma = 0.22
-    _, bob = rsp_pure(shared_state(2)[1], alice(gamma, 0.0))
+    _, bob = rsp_pure(shared_state(2)[1], alice_projector(gamma, 0.0))
     rho = to_density(bob)
     from rsp_sim import expectation
 
@@ -181,7 +183,7 @@ def test_extreme_components_never_appear():
         n = int(RNG.integers(2, 5))
         gamma = float(RNG.uniform(0, math.pi / 4))
         theta = float(RNG.uniform(0, 2 * math.pi))
-        _, bob = rsp_pure(shared_state(n)[1], alice(gamma, theta))
+        _, bob = rsp_pure(shared_state(n)[1], alice_projector(gamma, theta))
         pops = component_populations(to_density(bob))
         total = 2 * n - 1
         assert pops.get((total, 0), 0.0) == 0.0
@@ -191,7 +193,7 @@ def test_extreme_components_never_appear():
 
 def test_distinguishability_limits_and_contrast():
     _, shared = shared_state(2)
-    _, bob = rsp_pure(shared, alice(math.pi / 8, 0.0))
+    _, bob = rsp_pure(shared, alice_projector(math.pi / 8, 0.0))
     clean = tagged_population(distinguishability_demo(bob, 1.0))
     assert clean == 0.0
     blurred = tagged_population(distinguishability_demo(bob, 0.5))
@@ -200,7 +202,7 @@ def test_distinguishability_limits_and_contrast():
     assert blurred > 0.1
     # the partial-polarizer route never leaves the two-branch basis
     for p in (0.0, 0.5, 1.0):
-        _, rho = rsp_mixed(shared, alice(math.pi / 8, 0.0), p)
+        _, rho = rsp_mixed(shared, alice_projector(math.pi / 8, 0.0), p)
         assert set(rho.basis) == {(2, 1), (1, 2)}
         assert all(m.tag == 0 for m in rho.modes)
 
@@ -211,8 +213,8 @@ def test_settings_validation():
         build_source(0)
     _, shared = shared_state(2)
     with pytest.raises(ValueError):
-        rsp_mixed(shared, alice(math.pi / 8, 0.0), 1.5)
-    _, bob = rsp_pure(shared, alice(math.pi / 8, 0.0))
+        rsp_mixed(shared, alice_projector(math.pi / 8, 0.0), 1.5)
+    _, bob = rsp_pure(shared, alice_projector(math.pi / 8, 0.0))
     for d in (-0.2, 1.5):
         with pytest.raises(ValueError):
             distinguishability_demo(bob, d)
@@ -223,3 +225,11 @@ def test_closed_form_density_keeps_both_branches_when_one_amplitude_vanishes():
     rho = closed_form_bob_density(closed_form_bob_ket(2, 0.0, 0.0), 0.5)
     assert rho.basis == ((1, 2), (2, 1))
     assert np.allclose(rho.matrix, np.diag([0.75, 0.25]), atol=1e-15)
+
+
+def test_closed_form_density_rejects_a_ket_off_bobs_two_branch_basis():
+    with pytest.raises(ModeMismatchError):
+        closed_form_bob_density(shared_state(2)[1], 0.5)
+    even = make_fock([(BOB_H, 2), (BOB_V, 2)])
+    with pytest.raises(ValueError, match="two-branch"):
+        closed_form_bob_density(even, 0.5)
