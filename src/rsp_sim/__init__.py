@@ -53,6 +53,7 @@ from .protocol import (
     closed_form_bob_density,
     closed_form_bob_ket,
     distinguishability_demo,
+    heralded_n,
     rsp_mixed,
     rsp_pure,
     shared_state,

@@ -113,12 +113,12 @@ def _coerce_density(state: FockState | DensityOperator) -> DensityOperator:
     return to_density(state) if isinstance(state, FockState) else state
 
 
-def _subspace_matrix(rho: DensityOperator, n: int) -> np.ndarray:
+def _subspace_matrix(rho: DensityOperator) -> np.ndarray:
     if rho.modes != _QUBIT_MODES:
         raise ModeMismatchError(
             "correlation expects a state on the Alice (x) Bob mode set"
         )
-    occs = _qubit_occupations(n)
+    occs = _qubit_occupations(protocol.heralded_n(rho))
     sub = np.array(
         [[rho.entry(ri, cj) for cj in occs] for ri in occs], dtype=complex
     )
@@ -153,10 +153,14 @@ def count_table(
     """Expected outcome table using the physical wave-plate settings.
 
     ``kets`` is ``outcome_kets(n)`` for the state's source size n, built once
-    by the caller and shared by every setting it evaluates.
+    by the caller and shared by every setting it evaluates; kets built for
+    another n raise ``ModeMismatchError``.
     """
     rho = _coerce_density(state)
     _kinds(s_kind, t_kind)
+    bob, ket_bob = 2 * protocol.heralded_n(rho) - 1, kets[t_kind][0].total_photons
+    if ket_bob != bob:
+        raise ModeMismatchError(f"outcome kets hold {ket_bob} photons at Bob, the state {bob}")
     # outcome order ++, +-, -+, --
     return CountTable(
         *(
@@ -171,7 +175,6 @@ def correlation(
     state: FockState | DensityOperator,
     s_kind: str,
     t_kind: str,
-    n: int,
     kets: dict[str, tuple[FockState, FockState]],
 ) -> tuple[float, CountTable]:
     """Joint expectation value of a single-photon and a multi-photon setting.
@@ -179,11 +182,11 @@ def correlation(
     Computed as Tr(rho (S (x) T)) and cross-checked against the instrument
     count estimator (N++ + N-- - N+- - N-+) / N; disagreement beyond
     ``ROUTE_TOL`` means a bug and raises. Returns the trace-route value and
-    the count table it was checked against; ``kets`` is ``outcome_kets(n)``,
-    passed on to ``count_table``.
+    the count table it was checked against; ``kets`` is ``outcome_kets(n)``
+    for the state's n, passed on to ``count_table``.
     """
     rho = _coerce_density(state)
-    sub = _subspace_matrix(rho, n)
+    sub = _subspace_matrix(rho)
     (s_matrix, _), (t_matrix, _) = _kinds(s_kind, t_kind)
     # S (x) T as a 4x4 matrix over (a, b) x (c, d), then Tr(sub (S (x) T))
     kron = np.einsum("ac,bd->abcd", s_matrix, t_matrix).reshape(4, 4)
@@ -203,13 +206,10 @@ def chsh_value(e: Sequence[float]) -> float:
     return abs(-e[0] + e[1] + e[2] + e[3])
 
 
-def white_noise_shared_state(n: int, p: float) -> DensityOperator:
-    """p |Phi><Phi| + (1-p) I/4 on the shared qubit subspace.
-
-    The pure part comes from the simulated split-and-herald pipeline, not
-    from a hard-coded state.
-    """
-    _, shared = protocol.shared_state(n)
+def white_noise_shared_state(shared: FockState, p: float) -> DensityOperator:
+    """p |Phi><Phi| + (1-p) I/4 on the shared qubit subspace, where |Phi> is
+    ``shared``, the ket ``protocol.shared_state`` heralded."""
+    n = protocol.heralded_n(shared)
     return white_noise_mixture(shared, sorted(_qubit_occupations(n)), p)
 
 
@@ -255,11 +255,10 @@ def fit_fringe(
     return mean, amplitude, math.atan2(c, b)
 
 
-def fringe_scan(
-    rho: DensityOperator, n: int, axis: str, grid: Sequence[float]
-) -> FringeScan:
+def fringe_scan(rho: DensityOperator, axis: str, grid: Sequence[float]) -> FringeScan:
     """Scan the projection probability of Bob's state ``rho`` on his 2n-1
-    photons along a phase or analyzer-angle grid.
+    photons along a phase or analyzer-angle grid; a state that does not hold
+    2n-1 photons on Bob's modes raises ``ModeMismatchError``.
 
     ``phase_phi`` varies the analyzer phase phi at fixed delta = pi/8 and
     fits a period-2pi sinusoid whose offset recovers theta. ``angle_delta``
@@ -270,6 +269,7 @@ def fringe_scan(
         raise ValueError(f"unknown scan axis {axis!r}")
     if len(grid) == 0:
         raise ValueError("empty scan grid")
+    n = protocol.heralded_n(rho)
     probs = []
     for x in grid:
         if axis == "phase_phi":

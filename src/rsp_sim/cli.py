@@ -82,10 +82,7 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
         updates["seed"] = args.seed
     if args.out is not None:
         updates["output"] = args.out
-    if updates:
-        config = replace(config, **updates)
-    config.validate()
-    return config
+    return replace(config, **updates)
 
 
 def _fail(code: int, kind: str, message: str) -> int:

@@ -34,7 +34,7 @@ _GRID_EXPERIMENTS = ("phase_fringe", "amplitude_fringe", "mixed_state", "general
 MAX_N_PAIRS = 98
 # sampling costs the same at any shot count; 2**53 keeps each count exact as
 # a float. Points and trials fit the 5 s preset budget: a mixed_state point
-# costs about 0.09 ms at n = 2, a general_n trial about 0.4 ms at n = 4
+# costs about 0.14 ms at n = 2, a general_n trial about 0.5 ms at n = 4
 # (marginal cost, best of 5, one core of a 2-vCPU Xeon).
 MAX_SHOTS = 2**53
 MAX_GRID_POINTS = 5000
@@ -128,6 +128,9 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario; building it, or ``replace``-ing a field, raises
+    ``SchemaError`` for any value outside the schema."""
+
     experiment: str
     n_pairs: int = 2
     gamma: float = math.pi / 8
@@ -141,7 +144,7 @@ class ScenarioConfig:
     output: str | None = None
     format: str = "json"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise SchemaError(
                 f"unknown experiment {self.experiment!r}; pick one of {EXPERIMENTS}"
@@ -246,9 +249,7 @@ def config_from_mapping(raw: dict[str, Any]) -> ScenarioConfig:
             points=_integer("grid_points", raw["grid_points"]),
         )
 
-    config = ScenarioConfig(**kwargs)
-    config.validate()
-    return config
+    return ScenarioConfig(**kwargs)
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

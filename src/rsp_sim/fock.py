@@ -18,8 +18,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-NORM_TOL = 1e-12       # normalization / hermiticity / equality tolerance
-PSD_FLOOR = -1e-10     # eigenvalue floor accepted as "positive"
+NORM_TOL = 1e-12       # normalization / unitarity / eigenvalue-bound tolerance
 AMP_PRUNE = 1e-15      # amplitudes at or below this are treated as exact zeros
 
 
@@ -339,20 +338,6 @@ class DensityOperator:
         if i is None or j is None:
             return 0j
         return complex(self.matrix[i, j])
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
-    def validate(self, *, trace_tol: float = NORM_TOL, psd_floor: float = PSD_FLOOR) -> None:
-        """Raise if the operator is not Hermitian, trace-one and positive."""
-        herm = np.max(np.abs(self.matrix - self.matrix.conj().T))
-        if herm > trace_tol:
-            raise ValueError(f"not Hermitian: max asymmetry {herm:.3e}")
-        if abs(self.trace() - 1.0) > trace_tol:
-            raise ValueError(f"trace {self.trace()!r} differs from 1")
-        lo = float(self.eigenvalues().min())
-        if lo < psd_floor:
-            raise ValueError(f"negative eigenvalue {lo:.3e}")
 
     def __repr__(self) -> str:
         return f"DensityOperator(dim={len(self.basis)}, trace={self.trace():.6f})"

@@ -82,6 +82,21 @@ def shared_state(n: int) -> tuple[float, FockState]:
     return probability, without_modes(conditional, (SOURCE_H, SOURCE_V))
 
 
+def heralded_n(state: FockState | DensityOperator) -> int:
+    """The source size n of a heralded state, read from its photon number:
+    2n-1 on Bob's modes, or 2n on Alice's and Bob's (``shared_state``'s split)."""
+    keys = state.amps if isinstance(state, FockState) else state.basis
+    photons = sorted({sum(occ) for occ in keys})
+    at_alice = {(BOB_H, BOB_V): 0, (ALICE_H, ALICE_V, BOB_H, BOB_V): 1}.get(state.modes)
+    bob = photons[0] - at_alice if at_alice is not None and len(photons) == 1 else 0
+    if bob < 1 or bob % 2 == 0:
+        raise ModeMismatchError(
+            f"{photons} photons on modes {[m.label() for m in state.modes]} is not a "
+            "heralded two-branch state: 2n-1 on Bob's modes, or 2n on Alice's and Bob's"
+        )
+    return (bob + 1) // 2
+
+
 def alice_measurement_ket(gamma: float, theta: float = 0.0) -> FockState:
     """Alice's projection ket, produced by her own instrument chain.
 
@@ -124,7 +139,7 @@ def closed_form_bob_density(ket: FockState, p: float) -> DensityOperator:
     for the ket ``closed_form_bob_ket`` returns."""
     if ket.modes != (BOB_H, BOB_V):
         raise ModeMismatchError("closed-form density expects a ket on Bob's H and V modes")
-    n = (ket.total_photons + 1) // 2
+    n = heralded_n(ket)
     basis = ((n - 1, n), (n, n - 1))
     if not set(ket.amps) <= set(basis):
         raise ValueError(f"ket is not on Bob's two-branch basis for n={n}")

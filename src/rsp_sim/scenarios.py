@@ -29,7 +29,6 @@ def _scenario_echo(config: ScenarioConfig) -> dict:
 
 
 def run_scenario(config: ScenarioConfig) -> dict:
-    config.validate()
     points, summary = _RUNNERS[config.experiment](config)
     # a seeded scenario is a reproducibility contract: no volatile fields
     timestamp = (
@@ -47,12 +46,13 @@ def run_scenario(config: ScenarioConfig) -> dict:
 
 
 def _run_chsh(config: ScenarioConfig):
-    state = analysis.white_noise_shared_state(config.n_pairs, config.p_strength)
+    _, shared = protocol.shared_state(config.n_pairs)
+    state = analysis.white_noise_shared_state(shared, config.p_strength)
     rng = np.random.default_rng(config.seed) if config.shots else None
     kets = analysis.outcome_kets(config.n_pairs)
     points = []
     for s_kind, t_kind in analysis.CHSH_SETTINGS:
-        value, table = analysis.correlation(state, s_kind, t_kind, config.n_pairs, kets)
+        value, table = analysis.correlation(state, s_kind, t_kind, kets)
         point = {
             "s_obs": s_kind,
             "t_obs": t_kind,
@@ -82,7 +82,7 @@ def _run_fringe(config: ScenarioConfig, axis: str, knob: str):
     _, shared = protocol.shared_state(config.n_pairs)
     phi = protocol.alice_projector(config.gamma, config.theta)
     _, rho = protocol.rsp_mixed(shared, phi, config.p_strength)
-    scan = analysis.fringe_scan(rho, config.n_pairs, axis, config.grid.values())
+    scan = analysis.fringe_scan(rho, axis, config.grid.values())
     sampled = None
     if config.shots:
         sampled = analysis.sample_fringe_scan(
@@ -141,7 +141,7 @@ def _run_populations(config: ScenarioConfig):
     phi = protocol.alice_projector(config.gamma, config.theta)
     _, rho = protocol.rsp_mixed(shared, phi, config.p_strength)
     populations = analysis.component_populations(rho)
-    total_photons = 2 * config.n_pairs - 1
+    total_photons = 2 * protocol.heralded_n(rho) - 1
     modes = rho.modes
     points = []
     for h in range(total_photons, -1, -1):

@@ -63,7 +63,7 @@ def test_criterion_2_chsh_both_routes_and_noise_band():
     start = time.perf_counter()
     _, state = shared_state(2)
     kets = outcome_kets(2)
-    s_operator = chsh_value([correlation(state, s, t, 2, kets)[0] for s, t in CHSH_SETTINGS])
+    s_operator = chsh_value([correlation(state, s, t, kets)[0] for s, t in CHSH_SETTINGS])
     assert abs(s_operator - 2.0 * SQRT2) < 1e-9
     rho = to_density(state)
     counted = [
@@ -72,8 +72,8 @@ def test_criterion_2_chsh_both_routes_and_noise_band():
     ]
     s_counts = abs(-counted[0] + counted[1] + counted[2] + counted[3])
     assert abs(s_counts - 2.0 * SQRT2) < 1e-9
-    noisy = white_noise_shared_state(2, 0.958)
-    s_noisy = chsh_value([correlation(noisy, s, t, 2, kets)[0] for s, t in CHSH_SETTINGS])
+    noisy = white_noise_shared_state(state, 0.958)
+    s_noisy = chsh_value([correlation(noisy, s, t, kets)[0] for s, t in CHSH_SETTINGS])
     assert abs(s_noisy - 2.71) <= 0.09
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -91,13 +91,13 @@ def test_criterion_3_phase_fringes():
     _, shared = shared_state(2)
     for theta in thetas:
         _, rho = rsp_mixed(shared, alice_projector(math.pi / 8, theta), 1.0)
-        scan = fringe_scan(rho, 2, "phase_phi", grid)
+        scan = fringe_scan(rho, "phase_phi", grid)
         for phi, prob in zip(scan.grid, scan.probabilities):
             assert abs(prob - 0.5 * (1.0 + math.cos(phi - theta))) < 1e-12
         assert angdiff(scan.fitted_offset, theta) < 1e-9
     for theta, p in zip(thetas, visibilities):
         _, rho = rsp_mixed(shared, alice_projector(math.pi / 8, theta), p)
-        noisy = fringe_scan(rho, 2, "phase_phi", grid)
+        noisy = fringe_scan(rho, "phase_phi", grid)
         assert abs(noisy.fitted_visibility - p) < 1e-9
         assert angdiff(noisy.fitted_offset, theta) < 1e-9
     _report(3, f"offsets recover theta for {thetas}, visibilities match {visibilities}")
@@ -111,7 +111,7 @@ def test_criterion_4_amplitude_fringes():
     for _ in range(20):
         gamma = float(rng.uniform(0.0, math.pi / 4.0))
         _, rho = rsp_mixed(shared, alice_projector(gamma, 0.0), 1.0)
-        scan = fringe_scan(rho, 2, "angle_delta", grid)
+        scan = fringe_scan(rho, "angle_delta", grid)
         for delta, prob in zip(scan.grid, scan.probabilities):
             assert abs(prob - 0.5 * (1.0 - math.cos(4.0 * (delta + gamma)))) < 1e-12
         peak = (scan.fitted_offset / 4.0) % (math.pi / 2.0)

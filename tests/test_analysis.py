@@ -11,6 +11,7 @@ from rsp_sim import (
     CountTable,
     DensityOperator,
     GridSpec,
+    ModeMismatchError,
     ScenarioConfig,
     alice_projector,
     chsh_value,
@@ -81,7 +82,7 @@ def test_observable_matrices_have_unit_eigenvalues():
     _, state = shared_state(2)
     for pair in (("sigma_y", "mu_t"), ("mu_s", "sigma_y"), ("mu_t", "mu_s")):
         with pytest.raises(ValueError):
-            correlation(state, *pair, 2, KETS)
+            correlation(state, *pair, KETS)
         with pytest.raises(ValueError):
             count_table(state, *pair, KETS)
 
@@ -91,8 +92,8 @@ def test_sigma_zz_is_perfectly_anticorrelated():
     # z-type observables anti-correlate on the shared state; sigma_z on Alice
     # is (mu_s - pi_s)/sqrt(2) and sigma_z on Bob is mu_t
     _, state = shared_state(2)
-    e_mu, _ = correlation(state, "mu_s", "mu_t", 2, KETS)
-    e_pi, _ = correlation(state, "pi_s", "mu_t", 2, KETS)
+    e_mu, _ = correlation(state, "mu_s", "mu_t", KETS)
+    e_pi, _ = correlation(state, "pi_s", "mu_t", KETS)
     assert abs((e_mu - e_pi) / SQRT2 + 1.0) < 1e-12
 
 
@@ -100,14 +101,14 @@ def test_correlation_on_maximally_mixed_state_vanishes():
     basis = tuple(sorted(_qubit_occs()))
     rho = DensityOperator(QUBIT_MODES, basis, np.eye(4, dtype=complex) / 4.0)
     for pair in (("mu_s", "mu_t"), ("pi_s", "pi_t"), ("mu_s", "pi_t")):
-        value, table = correlation(rho, *pair, 2, KETS)
+        value, table = correlation(rho, *pair, KETS)
         assert abs(value) < 1e-12
         assert abs(table.correlation()) < 1e-12
 
 
 def test_diagonal_correlation_value():
     _, state = shared_state(2)
-    value, table = correlation(state, "mu_s", "mu_t", 2, KETS)
+    value, table = correlation(state, "mu_s", "mu_t", KETS)
     assert abs(value + 1.0 / SQRT2) < 1e-12
     assert table == count_table(state, "mu_s", "mu_t", KETS)
 
@@ -120,12 +121,12 @@ def test_correlation_rejects_leaky_states():
     m[4, 4] = 1e-6
     rho = DensityOperator(QUBIT_MODES, basis, m)
     with pytest.raises(ValueError, match="leak"):
-        correlation(rho, "mu_s", "mu_t", 2, KETS)
+        correlation(rho, "mu_s", "mu_t", KETS)
 
 
 def test_chsh_reaches_tsirelson_on_shared_state():
     _, state = shared_state(2)
-    s_value = chsh_value([correlation(state, s, t, 2, KETS)[0] for s, t in CHSH_SETTINGS])
+    s_value = chsh_value([correlation(state, s, t, KETS)[0] for s, t in CHSH_SETTINGS])
     assert abs(s_value - 2.0 * SQRT2) < 1e-9
 
 
@@ -134,7 +135,7 @@ def test_chsh_on_product_state_respects_classical_bound():
         make_fock([(ALICE_H, 1), (ALICE_V, 0)]),
         make_fock([(BOB_H, 2), (BOB_V, 1)]),
     )
-    product_chsh = chsh_value([correlation(product, s, t, 2, KETS)[0] for s, t in CHSH_SETTINGS])
+    product_chsh = chsh_value([correlation(product, s, t, KETS)[0] for s, t in CHSH_SETTINGS])
     assert product_chsh <= 2.0 + 1e-9
     for _ in range(20):
         g = RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2))
@@ -151,13 +152,13 @@ def test_chsh_on_product_state_respects_classical_bound():
             for j, oj in enumerate(order):
                 permuted[oi, oj] = joint[i, j]
         rho = DensityOperator(QUBIT_MODES, basis, permuted)
-        rho_chsh = chsh_value([correlation(rho, s, t, 2, KETS)[0] for s, t in CHSH_SETTINGS])
+        rho_chsh = chsh_value([correlation(rho, s, t, KETS)[0] for s, t in CHSH_SETTINGS])
         assert rho_chsh <= 2.0 + 1e-9
 
 
 def test_chsh_with_white_noise_hits_published_value():
-    noisy = white_noise_shared_state(2, 0.958)
-    s = chsh_value([correlation(noisy, s_kind, t, 2, KETS)[0] for s_kind, t in CHSH_SETTINGS])
+    noisy = white_noise_shared_state(shared_state(2)[1], 0.958)
+    s = chsh_value([correlation(noisy, s_kind, t, KETS)[0] for s_kind, t in CHSH_SETTINGS])
     assert abs(s - 0.958 * 2.0 * SQRT2) < 1e-12
     assert abs(s - 2.71) <= 0.09
 
@@ -170,7 +171,7 @@ def test_count_route_equals_operator_route_on_random_states():
         s_kind = kinds_s[int(RNG.integers(0, 2))]
         t_kind = kinds_t[int(RNG.integers(0, 2))]
         by_counts = count_table(rho, s_kind, t_kind, KETS).correlation()
-        by_trace, _ = correlation(rho, s_kind, t_kind, 2, KETS)  # internally cross-checked
+        by_trace, _ = correlation(rho, s_kind, t_kind, KETS)  # internally cross-checked
         assert abs(by_counts - by_trace) < 1e-12
 
 
@@ -266,7 +267,7 @@ def test_each_runner_builds_one_shared_state_per_n(experiment, monkeypatch):
 
 def test_phase_fringe_zero_offset():
     grid = np.linspace(0.0, 2 * math.pi, 24)
-    scan = fringe_scan(_bob_state(math.pi / 8, 0.0), 2, "phase_phi", grid)
+    scan = fringe_scan(_bob_state(math.pi / 8, 0.0), "phase_phi", grid)
     assert abs(scan.fitted_visibility - 1.0) < 1e-9
     assert angdiff(scan.fitted_offset, 0.0) < 1e-9
     for x, prob in zip(scan.grid, scan.probabilities):
@@ -275,14 +276,14 @@ def test_phase_fringe_zero_offset():
 
 def test_phase_fringe_offset_recovers_theta():
     grid = np.linspace(0.0, 2 * math.pi, 24)
-    scan = fringe_scan(_bob_state(math.pi / 8, math.pi / 2), 2, "phase_phi", grid)
+    scan = fringe_scan(_bob_state(math.pi / 8, math.pi / 2), "phase_phi", grid)
     assert angdiff(scan.fitted_offset, math.pi / 2) < 1e-9
 
 
 @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.938, 1.0])
 def test_phase_fringe_visibility_equals_noise_weight(p):
     grid = np.linspace(0.0, 2 * math.pi, 24)
-    scan = fringe_scan(_bob_state(math.pi / 8, 0.0, p), 2, "phase_phi", grid)
+    scan = fringe_scan(_bob_state(math.pi / 8, 0.0, p), "phase_phi", grid)
     assert abs(scan.fitted_visibility - p) < 1e-9
     assert (scan.fitted_offset is None) == (p == 0.0)
 
@@ -291,7 +292,7 @@ def test_amplitude_fringe_peak_location():
     for _ in range(20):
         gamma = float(RNG.uniform(0.0, math.pi / 4))
         grid = np.linspace(0.0, math.pi / 2, 25)
-        scan = fringe_scan(_bob_state(gamma, 0.0), 2, "angle_delta", grid)
+        scan = fringe_scan(_bob_state(gamma, 0.0), "angle_delta", grid)
         peak = (scan.fitted_offset / 4.0) % (math.pi / 2)
         assert angdiff(peak, (math.pi / 4 - gamma) % (math.pi / 2), period=math.pi / 2) < 1e-9
         for x, prob in zip(scan.grid, scan.probabilities):
@@ -301,9 +302,9 @@ def test_amplitude_fringe_peak_location():
 def test_fringe_scan_rejects_unknown_axis_and_empty_grid():
     rho = _bob_state(math.pi / 8, 0.0)
     with pytest.raises(ValueError):
-        fringe_scan(rho, 2, "nope", [0.0, 1.0, 2.0])
+        fringe_scan(rho, "nope", [0.0, 1.0, 2.0])
     with pytest.raises(ValueError):
-        fringe_scan(rho, 2, "phase_phi", [])
+        fringe_scan(rho, "phase_phi", [])
 
 
 def test_fit_fringe_recovers_synthetic_parameters():
@@ -380,7 +381,7 @@ def test_sample_count_table_round_trip():
 
 def test_sampled_fringe_visibility_converges():
     grid = np.linspace(0.0, 2 * math.pi, 24)
-    scan = fringe_scan(_bob_state(math.pi / 8, 0.0), 2, "phase_phi", grid)
+    scan = fringe_scan(_bob_state(math.pi / 8, 0.0), "phase_phi", grid)
     sampled = sample_fringe_scan(scan, shots=10 ** 6, seed=99)
     assert sampled.counts is not None
     assert abs(sampled.fitted_visibility - 1.0) < 0.01
@@ -391,3 +392,33 @@ def test_sampled_fringe_visibility_converges():
 def test_count_table_requires_events():
     with pytest.raises(ValueError):
         CountTable(0.0, 0.0, 0.0, 0.0).correlation()
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_fringe_scan_reads_n_from_bobs_state(n):
+    p, theta = 0.8, 2.0
+    _, rho = rsp_mixed(shared_state(n)[1], alice_projector(math.pi / 8, theta), p)
+    scan = fringe_scan(rho, "phase_phi", np.linspace(0.0, 2 * math.pi, 24))
+    assert abs(scan.fitted_visibility - p) < 1e-9
+    assert angdiff(scan.fitted_offset, theta) < 1e-9
+
+
+def test_fringe_scan_rejects_a_bob_state_with_an_even_photon_number():
+    even = to_density(make_fock([(BOB_H, 2), (BOB_V, 2)]))
+    with pytest.raises(ModeMismatchError):
+        fringe_scan(even, "phase_phi", np.linspace(0.0, 2 * math.pi, 24))
+
+
+def test_correlation_rejects_outcome_kets_built_for_another_n():
+    _, state = shared_state(2)
+    with pytest.raises(ModeMismatchError, match="5 photons at Bob, the state 3"):
+        correlation(state, "mu_s", "mu_t", outcome_kets(3))
+    with pytest.raises(ModeMismatchError, match="3 photons at Bob, the state 5"):
+        count_table(shared_state(3)[1], "mu_s", "mu_t", KETS)
+
+
+def test_white_noise_shared_state_reads_n_from_the_shared_ket():
+    noisy = white_noise_shared_state(shared_state(3)[1], 0.9)
+    kets = outcome_kets(3)
+    s = chsh_value([correlation(noisy, s_kind, t, kets)[0] for s_kind, t in CHSH_SETTINGS])
+    assert abs(s - 0.9 * 2.0 * SQRT2) < 1e-12

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -138,31 +139,31 @@ def test_partial_grid_rejected(tmp_path):
 
 def test_validation_catches_ranges():
     with pytest.raises(SchemaError):
-        ScenarioConfig(experiment="nope").validate()
+        ScenarioConfig(experiment="nope")
     with pytest.raises(SchemaError):
-        ScenarioConfig(experiment="chsh", p_strength=2.0).validate()
+        ScenarioConfig(experiment="chsh", p_strength=2.0)
     with pytest.raises(SchemaError):
-        ScenarioConfig(experiment="phase_fringe").validate()  # no grid
+        ScenarioConfig(experiment="phase_fringe")  # no grid
     with pytest.raises(SchemaError):
         ScenarioConfig(
             experiment="phase_fringe", grid=GridSpec(0, 1, 1)
-        ).validate()  # too few points
+        )  # too few points
     with pytest.raises(SchemaError):
-        ScenarioConfig(experiment="chsh", shots=100).validate()  # shots need a seed
+        ScenarioConfig(experiment="chsh", shots=100)  # shots need a seed
     with pytest.raises(SchemaError):
         ScenarioConfig(
             experiment="general_n", grid=GridSpec(0.5, 2.5, 3)
-        ).validate()  # non-integer source sizes
-    ScenarioConfig(experiment="chsh").validate()
+        )  # non-integer source sizes
+    ScenarioConfig(experiment="chsh")
 
 
 def test_source_size_capped_where_the_splitter_overflows():
-    ScenarioConfig(experiment="populations", n_pairs=98).validate()
-    ScenarioConfig(experiment="general_n", grid=GridSpec(97, 98, 2), trials=1).validate()
+    ScenarioConfig(experiment="populations", n_pairs=98)
+    ScenarioConfig(experiment="general_n", grid=GridSpec(97, 98, 2), trials=1)
     with pytest.raises(SchemaError, match="n_pairs"):
-        ScenarioConfig(experiment="populations", n_pairs=99).validate()
+        ScenarioConfig(experiment="populations", n_pairs=99)
     with pytest.raises(SchemaError, match="general_n"):
-        ScenarioConfig(experiment="general_n", grid=GridSpec(98, 99, 2), trials=1).validate()
+        ScenarioConfig(experiment="general_n", grid=GridSpec(98, 99, 2), trials=1)
 
 
 def test_grid_values_are_inclusive():
@@ -211,16 +212,16 @@ def test_integer_keys_accept_integral_numbers_and_strings():
 def test_work_caps_reject_unbounded_configs():
     fringe = {"experiment": "phase_fringe", "grid_start": 0, "grid_stop": 1}
     config_from_mapping({**fringe, "grid_points": MAX_GRID_POINTS})
-    ScenarioConfig(experiment="chsh", shots=MAX_SHOTS, seed=1).validate()
-    ScenarioConfig(experiment="chsh", trials=MAX_TRIALS).validate()
+    ScenarioConfig(experiment="chsh", shots=MAX_SHOTS, seed=1)
+    ScenarioConfig(experiment="chsh", trials=MAX_TRIALS)
     with pytest.raises(SchemaError, match="grid points"):
         config_from_mapping({**fringe, "grid_points": 1e20})
     with pytest.raises(SchemaError, match="shots"):
-        ScenarioConfig(experiment="chsh", shots=10**20, seed=1).validate()
+        ScenarioConfig(experiment="chsh", shots=10**20, seed=1)
     with pytest.raises(SchemaError, match="trials"):
-        ScenarioConfig(experiment="chsh", trials=MAX_TRIALS + 1).validate()
+        ScenarioConfig(experiment="chsh", trials=MAX_TRIALS + 1)
     with pytest.raises(SchemaError, match="seed"):
-        ScenarioConfig(experiment="chsh", seed=-1).validate()
+        ScenarioConfig(experiment="chsh", seed=-1)
 
 
 def test_mixed_state_grid_is_checked_before_the_run():
@@ -247,4 +248,13 @@ def test_grid_refused_where_the_experiment_uses_none(experiment):
             {"experiment": experiment, "grid_start": 0, "grid_stop": 1, "grid_points": -3}
         )
     with pytest.raises(SchemaError, match="takes no grid"):
-        ScenarioConfig(experiment=experiment, grid=GridSpec(0.0, 1.0, 5)).validate()
+        ScenarioConfig(experiment=experiment, grid=GridSpec(0.0, 1.0, 5))
+
+
+def test_replace_rechecks_every_override():
+    config = ScenarioConfig(experiment="chsh", seed=1)
+    assert replace(config, shots=10).shots == 10
+    with pytest.raises(SchemaError, match="shots"):
+        replace(config, shots=0)
+    with pytest.raises(SchemaError, match="seed"):
+        replace(config, shots=10, seed=None)

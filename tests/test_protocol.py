@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from rsp_sim import (
+    ALICE_H,
+    ALICE_V,
     BOB_H,
     BOB_V,
     ModeMismatchError,
@@ -14,6 +16,8 @@ from rsp_sim import (
     closed_form_bob_ket,
     component_populations,
     distinguishability_demo,
+    extend_modes,
+    heralded_n,
     inner_product,
     make_fock,
     operator_distance,
@@ -233,3 +237,22 @@ def test_closed_form_density_rejects_a_ket_off_bobs_two_branch_basis():
     even = make_fock([(BOB_H, 2), (BOB_V, 2)])
     with pytest.raises(ValueError, match="two-branch"):
         closed_form_bob_density(even, 0.5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_heralded_n_reads_the_source_size_from_the_state(n):
+    _, shared = shared_state(n)
+    _, bob = rsp_pure(shared, alice_projector(math.pi / 8, 0.0))
+    assert heralded_n(shared) == heralded_n(to_density(shared)) == n
+    assert heralded_n(bob) == heralded_n(to_density(bob)) == n
+
+
+@pytest.mark.parametrize("state", [
+    make_fock([(BOB_H, 2), (BOB_V, 2)]),  # an even photon number at Bob
+    extend_modes(make_fock([(ALICE_H, 1), (BOB_H, 2)]), (ALICE_V, BOB_V)),  # odd in all
+    make_fock([(ALICE_H, 1), (BOB_H, 2), (BOB_V, 1)]),  # not Alice's and Bob's modes
+    build_source(2),
+])
+def test_heralded_n_rejects_a_state_no_herald_leaves(state):
+    with pytest.raises(ModeMismatchError, match="two-branch"):
+        heralded_n(state)
