@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -97,7 +98,10 @@ def _execute(config: ScenarioConfig) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``rsp-sim`` parser, built once per process: parsing reads it and
+    never changes it, so every ``main`` call shares one."""
     parser = argparse.ArgumentParser(
         prog="rsp-sim",
         description="Simulate heralded remote preparation of multi-photon "

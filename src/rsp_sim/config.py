@@ -34,7 +34,7 @@ _GRID_EXPERIMENTS = ("phase_fringe", "amplitude_fringe", "mixed_state", "general
 MAX_N_PAIRS = 98
 # sampling costs the same at any shot count; 2**53 keeps each count exact as
 # a float. Points and trials fit the 5 s preset budget: a mixed_state point
-# costs about 0.14 ms at n = 2, a general_n trial about 0.5 ms at n = 4
+# costs about 0.07 ms at n = 2, a general_n trial about 0.2 ms at n = 4
 # (marginal cost, best of 5, one core of a 2-vCPU Xeon).
 MAX_SHOTS = 2**53
 MAX_GRID_POINTS = 5000

@@ -48,6 +48,15 @@ class ModeUnitary:
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "matrix", matrix)
 
+    @classmethod
+    def _unchecked(cls, modes: tuple[Mode, ...], matrix: np.ndarray) -> "ModeUnitary":
+        """A unitary from distinct modes and a complex matrix of their size
+        that is unitary by construction, as the element builders make."""
+        u = object.__new__(cls)
+        object.__setattr__(u, "modes", modes)
+        object.__setattr__(u, "matrix", matrix)
+        return u
+
 
 def _require_hv_pair(pair: tuple[Mode, Mode], what: str) -> tuple[Mode, Mode]:
     h, v = pair
@@ -85,7 +94,7 @@ def bs_5050(
         mat[pos[a], pos[a]] = r
         mat[pos[b], pos[a]] = 1j * r
         mat[pos[s], pos[b]] = 1.0
-    return ModeUnitary(modes, mat)
+    return ModeUnitary._unchecked(modes, mat)
 
 
 def hwp(angle: float, modes: tuple[Mode, Mode]) -> ModeUnitary:
@@ -94,12 +103,12 @@ def hwp(angle: float, modes: tuple[Mode, Mode]) -> ModeUnitary:
     c = math.cos(2.0 * angle)
     s = math.sin(2.0 * angle)
     mat = np.array([[c, s], [s, -c]], dtype=complex)
-    return ModeUnitary((h, v), mat)
+    return ModeUnitary._unchecked((h, v), mat)
 
 
 def phase_shifter(theta: float, mode: Mode) -> ModeUnitary:
     """Phase e^{i theta} on a single mode's creation operator."""
-    return ModeUnitary((mode,), np.array([[np.exp(1j * theta)]], dtype=complex))
+    return ModeUnitary._unchecked((mode,), np.array([[np.exp(1j * theta)]], dtype=complex))
 
 
 def _compositions(n: int, k: int):

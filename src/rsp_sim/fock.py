@@ -110,10 +110,12 @@ class FockState:
     """Sparse superposition over occupation vectors of a fixed mode set.
 
     Amplitudes below ``AMP_PRUNE`` are dropped at construction, so absent
-    keys are exact zeros. States are treated as immutable values.
+    keys are exact zeros. States are treated as immutable values, so
+    ``_splits`` can keep measurement's on (x) rest split of the state's
+    kets, keyed by the measured modes, for as long as the state lives.
     """
 
-    __slots__ = ("modes", "amps", "total_photons")
+    __slots__ = ("modes", "amps", "total_photons", "_splits")
 
     def __init__(self, modes: Iterable[Mode], amplitudes: Mapping[tuple[int, ...], complex]):
         modes = tuple(modes)
@@ -140,6 +142,7 @@ class FockState:
         self.modes = modes
         self.amps = amps
         self.total_photons = total
+        self._splits = {}
 
     @classmethod
     def _unchecked(
@@ -152,6 +155,7 @@ class FockState:
         state.modes = modes
         state.amps = _pruned(amplitudes.items())
         state.total_photons = sum(next(iter(state.amps)))
+        state._splits = {}
         return state
 
     def norm(self) -> float:
@@ -294,9 +298,10 @@ def _checked_basis(
 
 
 class DensityOperator:
-    """Dense operator over an explicit, canonically sorted occupation basis."""
+    """Dense operator over an explicit, canonically sorted occupation basis;
+    ``_splits`` is kept as ``FockState``'s is."""
 
-    __slots__ = ("modes", "basis", "matrix", "_index")
+    __slots__ = ("modes", "basis", "matrix", "_index", "_splits")
 
     def __init__(
         self,
@@ -312,6 +317,7 @@ class DensityOperator:
         self.basis = basis
         self.matrix = matrix
         self._index = {occ: i for i, occ in enumerate(basis)}
+        self._splits = {}
 
     @classmethod
     def _unchecked(
@@ -327,6 +333,7 @@ class DensityOperator:
         rho.basis = basis
         rho.matrix = matrix
         rho._index = {occ: i for i, occ in enumerate(basis)}
+        rho._splits = {}
         return rho
 
     def trace(self) -> float:
@@ -364,9 +371,15 @@ def white_noise_mixture(
 
 
 def expectation(rho: DensityOperator, ket: FockState) -> float:
-    """<ket|rho|ket> for a ket expressed on the same modes as the operator."""
+    """<ket|rho|ket> for a ket on the operator's modes and of a photon number
+    its basis holds; any other ket raises ``ModeMismatchError``."""
     if ket.modes != rho.modes:
         raise ModeMismatchError("ket and operator live on different mode sets")
+    if not any(sum(occ) == ket.total_photons for occ in rho.basis):
+        photons = sorted({sum(occ) for occ in rho.basis})
+        raise ModeMismatchError(
+            f"ket holds {ket.total_photons} photons, the operator's basis {photons}"
+        )
     v = np.array([ket.amps.get(occ, 0j) for occ in rho.basis], dtype=complex)
     return float(np.einsum("i,ij,j->", v.conj(), rho.matrix, v).real)
 

@@ -5,7 +5,8 @@ outcome renormalizes the surviving state. A herald pattern that no ket
 matches is structurally impossible; any matching pattern heralds, however
 small its probability. Alice's projection and her partial polarizer are one
 contraction over the split of the occupation basis into measured ("on") and
-remaining ("rest") modes; an outcome below ``PROB_FLOOR`` is zero probability.
+remaining ("rest") modes, made once per state and measured modes; an outcome
+below ``PROB_FLOOR`` is zero probability.
 Its products are ``np.einsum`` calls, not numpy's SIMD-dispatched complex
 multiply, so the last bit does not depend on the host's SIMD level.
 """
@@ -140,6 +141,17 @@ def _split_on_rest(
     return on_keys, rest_pos, rest_basis, tuple(modes[i] for i in rest_idx)
 
 
+def _split(state: FockState | DensityOperator, on: tuple[Mode, ...], what: str):
+    """``_split_on_rest`` of a state's basis (a ket's sorted keys), made on
+    the first measurement of ``on`` and kept on the state, so a sweep that
+    measures one shared state at every grid point splits it once."""
+    split = state._splits.get(on)
+    if split is None:
+        basis = sorted(state.amps) if isinstance(state, FockState) else state.basis
+        split = state._splits[on] = _split_on_rest(state.modes, basis, on, what)
+    return split
+
+
 def project(state: FockState, proj: Projector) -> tuple[float, FockState]:
     """Project the target's modes onto ``proj`` and return what remains.
 
@@ -147,13 +159,11 @@ def project(state: FockState, proj: Projector) -> tuple[float, FockState]:
     renormalized residual, living on the modes not projected.
     """
     target = proj.target
-    kets = state.items()
-    on_keys, rest_pos, rest_basis, rest_modes = _split_on_rest(
-        state.modes, [occ for occ, _ in kets], target.modes, "projector"
-    )
+    on_keys, rest_pos, rest_basis, rest_modes = _split(state, target.modes, "projector")
+    amps = [amp for _, amp in state.items()]
     # on keys list the on modes in canonical order, as the target's keys do
     hit = [k for k, key in enumerate(on_keys) if key in target.amps]
-    terms = [target.amps[on_keys[k]].conjugate() * kets[k][1] for k in hit]
+    terms = [target.amps[on_keys[k]].conjugate() * amps[k] for k in hit]
     out = np.zeros(len(rest_basis), dtype=complex)
     np.add.at(out, rest_pos[hit], np.array(terms, dtype=complex))
     residual = out.tolist()
@@ -225,9 +235,7 @@ def condition_on_povm(
     code path.
     """
     rho = to_density(state_or_rho) if isinstance(state_or_rho, FockState) else state_or_rho
-    on_keys, rest_pos, rest_basis, rest_modes = _split_on_rest(
-        rho.modes, rho.basis, element.modes, "POVM"
-    )
+    on_keys, rest_pos, rest_basis, rest_modes = _split(rho, element.modes, "POVM")
     # rho_B[r, r'] = sum_{a, c} E[a, c] rho[(c, r), (a, r')]; on keys outside
     # the element's basis index its zero padding row and column
     d = len(element.basis)

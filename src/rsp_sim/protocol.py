@@ -39,7 +39,6 @@ from .fock import (
     Polarization,
     extend_modes,
     make_fock,
-    superpose,
     white_noise_mixture,
     without_modes,
 )
@@ -118,11 +117,15 @@ def alice_projector(gamma: float, theta: float = 0.0) -> Projector:
 
 def bob_measurement_ket(n: int, delta: float, phi: float = 0.0) -> FockState:
     """Bob's analysis ket cos(2 delta)|n,(n-1)> + e^{i phi} sin(2 delta)|(n-1),n>."""
-    hi = make_fock([(BOB_H, n), (BOB_V, n - 1)])
-    lo = make_fock([(BOB_H, n - 1), (BOB_V, n)])
+    if n < 1:
+        raise ValueError(f"need at least one photon pair, got n={n}")
+    n = int(n)
     c = math.cos(2.0 * delta)
     s = math.sin(2.0 * delta)
-    return superpose([(c, hi), (s * np.exp(1j * phi), lo)]).normalized()
+    # the prune forms 0j + complex(coefficient), which has the bits that
+    # superposing two make_fock kets with these coefficients gives
+    amps = {(n, n - 1): c, (n - 1, n): s * np.exp(1j * phi)}
+    return FockState._unchecked((BOB_H, BOB_V), amps).normalized()
 
 
 def closed_form_bob_ket(n: int, gamma: float, theta: float) -> FockState:

@@ -4,7 +4,9 @@ Transition amplitudes are evaluated with the permanent formula
 <out|U|in> = perm(U[out-rows, in-cols]) / sqrt(prod(in!) * prod(out!)),
 using a naive permutation-sum permanent. The library itself expands
 creation-operator polynomials and never computes permanents, so agreement
-between the two is a genuine cross-check.
+between the two is a genuine cross-check. Bob's analysis ket is also built
+here through the checked public constructors, the route the library's direct
+two-amplitude build must match bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import itertools
 import math
 
 import numpy as np
+
+from rsp_sim import BOB_H, BOB_V, FockState, make_fock, superpose
 
 # 6-mode splitter written out by hand in canonical mode order
 # (S_H, S_V, A_H, A_V, B_H, B_V); column j is the image of mode j.
@@ -94,3 +98,14 @@ def splitter_herald_amplitudes(n: int) -> dict[tuple[int, ...], complex]:
             if abs(amp) > 1e-15:
                 matches[occ_out] = amp
     return matches
+
+
+def bob_measurement_ket_by_superposition(n: int, delta: float, phi: float = 0.0) -> FockState:
+    """Bob's analysis ket cos(2 delta)|n,(n-1)> + e^{i phi} sin(2 delta)|(n-1),n>
+    through the checked public constructors: two ``make_fock`` kets,
+    ``superpose`` and ``normalized``."""
+    hi = make_fock([(BOB_H, n), (BOB_V, n - 1)])
+    lo = make_fock([(BOB_H, n - 1), (BOB_V, n)])
+    c = math.cos(2.0 * delta)
+    s = math.sin(2.0 * delta)
+    return superpose([(c, hi), (s * np.exp(1j * phi), lo)]).normalized()

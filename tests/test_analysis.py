@@ -34,7 +34,7 @@ from rsp_sim import (
     to_density,
     white_noise_shared_state,
 )
-from rsp_sim import PRESETS, analysis, protocol, scenarios
+from rsp_sim import PRESETS, analysis, measurement, protocol, scenarios
 from rsp_sim.config import EXPERIMENTS
 from rsp_sim.analysis import CHSH_SETTINGS
 from helpers import angdiff
@@ -263,6 +263,50 @@ def test_each_runner_builds_one_shared_state_per_n(experiment, monkeypatch):
     else:
         sizes = {config.n_pairs}
     assert sorted(calls) == sorted(sizes)
+
+
+def _count_splits(monkeypatch):
+    # (photons in the split basis, measurement) of each on (x) rest split made
+    calls = []
+    original = measurement._split_on_rest
+
+    def counting(modes, basis, on, what):
+        calls.append((sum(basis[0]), what))
+        return original(modes, basis, on, what)
+
+    monkeypatch.setattr(measurement, "_split_on_rest", counting)
+    return calls
+
+
+def test_mixed_state_splits_its_shared_state_once(monkeypatch):
+    calls = _count_splits(monkeypatch)
+    scenarios.run_scenario(
+        ScenarioConfig(
+            experiment="mixed_state", gamma=0.3, theta=1.1,
+            grid=GridSpec(0.0, 1.0, 41), seed=1,
+        )
+    )
+    assert calls == [(4, "POVM")]
+
+
+def test_general_n_splits_once_per_source_size_and_route(monkeypatch):
+    # the ket for the sharp projection, its density for the partial polarizer
+    calls = _count_splits(monkeypatch)
+    config = PRESETS["eq10_general_n"]
+    scenarios.run_scenario(config)
+    sizes = {int(round(v)) for v in config.grid.values()}
+    assert len(calls) == 8
+    assert sorted(calls) == sorted(
+        (2 * n, what) for n in sizes for what in ("projector", "POVM")
+    )
+
+
+def test_purity_and_fidelity_reject_a_target_of_another_photon_number():
+    rho = _bob_state(math.pi / 8, 0.0, 0.9)
+    with pytest.raises(ModeMismatchError, match="5 photons"):
+        purity_and_fidelity(rho, closed_form_bob_ket(3, math.pi / 8, 0.0))
+    purity, fidelity = purity_and_fidelity(rho, closed_form_bob_ket(2, math.pi / 8, 0.0))
+    assert abs(fidelity - 0.95) < 1e-12
 
 
 def test_phase_fringe_zero_offset():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from dataclasses import replace
@@ -348,3 +349,33 @@ def test_mixed_state_runs_where_one_branch_vanishes(tmp_path):
     assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
     summary = json.loads(out.read_text())["summary"]
     assert max(summary.values()) < 1e-12
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        # the subcommands' parsers have progs such as "rsp-sim run"
+        if kwargs.get("prog") == "rsp-sim":
+            built.append(kwargs["prog"])
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    for _ in range(3):
+        assert cli.main(["list-presets"]) == 0
+    # each call parses into its own namespace: an --out or --format given
+    # once does not carry over to the next call
+    assert cli.main(["preset", "fig3_populations", "--out", "first.json"]) == 0
+    assert cli.main(["preset", "fig3_populations", "--format", "csv"]) == 0
+    assert cli.main(["preset", "fig3_populations"]) == 0
+    assert cli.main(["preset", "no-such-preset"]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fig3_populations.csv",
+        "fig3_populations.json",
+        "first.json",
+    ]
+    assert built == ["rsp-sim"]
+    capsys.readouterr()

@@ -21,6 +21,7 @@ from rsp_sim import (
     phase_shifter,
     superpose,
 )
+from rsp_sim.fock import NORM_TOL
 from rsp_sim.protocol import splitting_unitary
 from helpers import ALL_MODES, random_state, random_unitary, state_distance
 from oracles import SPLITTER_MATRIX, output_distribution
@@ -195,6 +196,33 @@ def test_apply_composition_homomorphism():
 def test_unitarity_enforced_at_construction():
     with pytest.raises(ValueError):
         ModeUnitary((BOB_H, BOB_V), np.array([[1.0, 0.0], [0.0, 2.0]]))
+    # a wave plate scaled just past the tolerance is no longer unitary
+    plate = hwp(0.3, (ALICE_H, ALICE_V)).matrix
+    with pytest.raises(ValueError, match="not unitary"):
+        ModeUnitary((ALICE_H, ALICE_V), plate * (1.0 + 10 * NORM_TOL))
+
+
+@pytest.mark.parametrize(
+    "angle",
+    [0.0, -0.0, 1e-300, math.pi / 8, -math.pi / 3, 2 * math.pi, 1e3, -7.5e4, 1e9, 1e15, 1e300],
+)
+def test_element_builders_are_unitary_by_construction(angle):
+    # the builders skip ModeUnitary's check, so what it would check holds
+    # here, also for angles many periods away from zero
+    for u in (
+        hwp(angle, (ALICE_H, ALICE_V)),
+        hwp(angle, (BOB_H, BOB_V)),
+        phase_shifter(angle, ALICE_V),
+        _splitter(),
+    ):
+        assert u.matrix.dtype == complex
+        assert u.matrix.shape == (len(u.modes), len(u.modes))
+        assert len(set(u.modes)) == len(u.modes)
+        defect = np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(len(u.modes))))
+        assert defect <= NORM_TOL
+        checked = ModeUnitary(u.modes, u.matrix)
+        assert checked.modes == u.modes
+        assert np.array_equal(checked.matrix, u.matrix)
 
 
 def test_apply_and_normalized_return_plain_complex_amplitudes():

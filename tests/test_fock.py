@@ -16,6 +16,7 @@ from rsp_sim import (
     ModeMismatchError,
     PovmElement,
     condition_on_povm,
+    expectation,
     inner_product,
     make_fock,
     superpose,
@@ -230,3 +231,12 @@ def test_unchecked_constructors_match_the_checked_ones():
     assert (rho.modes, rho.basis) == (same.modes, same.basis)
     assert np.array_equal(rho.matrix, same.matrix)
     assert rho.entry((2, 0), (1, 1)) == same.entry((2, 0), (1, 1))
+
+
+def test_expectation_rejects_a_ket_of_another_photon_number():
+    rho = to_density(make_fock([(BOB_H, 2), (BOB_V, 1)]))
+    with pytest.raises(ModeMismatchError, match="5 photons"):
+        expectation(rho, make_fock([(BOB_H, 3), (BOB_V, 2)]))
+    # same photon number outside the operator's basis: rho is zero there
+    assert expectation(rho, make_fock([(BOB_H, 1), (BOB_V, 2)])) == 0.0
+    assert expectation(rho, make_fock([(BOB_H, 2), (BOB_V, 1)])) == 1.0

@@ -30,7 +30,12 @@ from rsp_sim import (
     tensor,
     to_density,
 )
-from rsp_sim.protocol import alice_measurement_ket, shared_state, splitting_unitary
+from rsp_sim.protocol import (
+    alice_measurement_ket,
+    bob_measurement_ket,
+    shared_state,
+    splitting_unitary,
+)
 from helpers import ALL_MODES, random_state, reference_shared_ket
 from oracles import weak_compositions
 
@@ -321,3 +326,25 @@ def test_condition_on_povm_matches_scalar_loop_exactly():
         assert prob == expected
         assert conditional.basis == tuple(rest_basis)
         assert np.array_equal(conditional.matrix, out / expected)
+
+
+def test_the_split_a_state_keeps_is_per_measured_modes():
+    # one shared state measured in turn on Alice's and on Bob's modes gives,
+    # at every step, the bits a fresh copy of the state gives
+    _, shared = shared_state(2)
+    rho = to_density(shared)
+    alice = Projector(alice_measurement_ket(0.3, 1.1))
+    bob = Projector(bob_measurement_ket(2, 0.2, 0.4))
+    bob_element = PovmElement((BOB_H, BOB_V), ((1, 2), (2, 1)), np.diag([0.25, 0.75]))
+    for proj, element in ((alice, bob_element), (bob, partial_polarizer_povm(alice, 0.7))) * 2:
+        fresh = FockState(shared.modes, shared.amps)
+        prob, remote = project(shared, proj)
+        fresh_prob, fresh_remote = project(fresh, proj)
+        assert prob == fresh_prob
+        assert (remote.modes, remote.items()) == (fresh_remote.modes, fresh_remote.items())
+        prob, conditional = condition_on_povm(rho, element)
+        fresh_prob, fresh_conditional = condition_on_povm(to_density(fresh), element)
+        assert prob == fresh_prob
+        assert conditional.basis == fresh_conditional.basis
+        assert np.array_equal(conditional.matrix, fresh_conditional.matrix)
+    assert set(shared._splits) == set(rho._splits) == {(ALICE_H, ALICE_V), (BOB_H, BOB_V)}

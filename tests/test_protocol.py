@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsp_sim import (
     ALICE_H,
@@ -29,7 +31,7 @@ from rsp_sim import (
 )
 from rsp_sim.protocol import alice_measurement_ket
 from helpers import reference_shared_ket, tagged_population
-from oracles import splitter_herald_amplitudes
+from oracles import bob_measurement_ket_by_superposition, splitter_herald_amplitudes
 
 RNG = np.random.default_rng(31415)
 
@@ -256,3 +258,31 @@ def test_heralded_n_reads_the_source_size_from_the_state(n):
 def test_heralded_n_rejects_a_state_no_herald_leaves(state):
     with pytest.raises(ModeMismatchError, match="two-branch"):
         heralded_n(state)
+
+
+# angles where cos or sin of 2x is exactly 0 or 1, or rounds to a pruned
+# residue, next to arbitrary finite ones far outside one period
+_ANALYZER_ANGLES = st.sampled_from(
+    [0.0, -0.0, math.pi / 8, math.pi / 4, -math.pi / 4, math.pi / 2, 3 * math.pi / 8]
+) | st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 40), delta=_ANALYZER_ANGLES, phi=_ANALYZER_ANGLES)
+def test_bob_measurement_ket_matches_the_make_fock_route(n, delta, phi):
+    direct = bob_measurement_ket(n, delta, phi)
+    route = bob_measurement_ket_by_superposition(n, delta, phi)
+    assert direct.modes == route.modes == (BOB_H, BOB_V)
+    assert direct.total_photons == route.total_photons == 2 * n - 1
+    assert list(direct.amps.items()) == list(route.amps.items())
+    # repr tells a -0.0 part from +0.0, which == does not
+    assert repr(list(direct.amps.items())) == repr(list(route.amps.items()))
+    assert all(type(a) is complex for a in direct.amps.values())
+
+
+@pytest.mark.parametrize("n", [0, -1, -7])
+def test_bob_measurement_ket_rejects_fewer_than_one_pair(n):
+    with pytest.raises(ValueError):
+        bob_measurement_ket(n, 0.1, 0.2)
+    with pytest.raises(ValueError):
+        bob_measurement_ket_by_superposition(n, 0.1, 0.2)
