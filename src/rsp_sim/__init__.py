@@ -31,8 +31,6 @@ from .elements import (
     ModeUnitary,
     apply,
     bs_5050,
-    hwp,
-    phase_shifter,
 )
 from .measurement import (
     HeraldPattern,

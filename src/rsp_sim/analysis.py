@@ -96,14 +96,7 @@ class CountTable:
 def _qubit_occupations(n: int):
     # joint occupations over (A_H, A_V, B_H, B_V), ordered as
     # (a+, b+), (a+, b-), (a-, b+), (a-, b-)
-    a_plus, a_minus = (1, 0), (0, 1)
-    b_plus, b_minus = (n, n - 1), (n - 1, n)
-    return [
-        a_plus + b_plus,
-        a_plus + b_minus,
-        a_minus + b_plus,
-        a_minus + b_minus,
-    ]
+    return [a + b for a in protocol._branches(1) for b in protocol._branches(n)]
 
 
 _QUBIT_MODES = (ALICE_H, ALICE_V, BOB_H, BOB_V)

@@ -34,7 +34,7 @@ _GRID_EXPERIMENTS = ("phase_fringe", "amplitude_fringe", "mixed_state", "general
 MAX_N_PAIRS = 98
 # sampling costs the same at any shot count; 2**53 keeps each count exact as
 # a float. Points and trials fit the 5 s preset budget: a mixed_state point
-# costs about 0.07 ms at n = 2, a general_n trial about 0.2 ms at n = 4
+# costs about 0.07 ms at n = 2, a general_n trial about 0.12 ms at n = 4
 # (marginal cost, best of 5, one core of a 2-vCPU Xeon).
 MAX_SHOTS = 2**53
 MAX_GRID_POINTS = 5000
@@ -149,6 +149,13 @@ class ScenarioConfig:
             raise SchemaError(
                 f"unknown experiment {self.experiment!r}; pick one of {EXPERIMENTS}"
             )
+        # a plain int each, as a record's JSON needs: no bool, float or numpy int
+        optional = {"shots": self.shots, "seed": self.seed,
+                    "grid points": None if self.grid is None else self.grid.points}
+        given = {key: value for key, value in optional.items() if value is not None}
+        for key, value in {"n_pairs": self.n_pairs, "trials": self.trials, **given}.items():
+            if type(value) is not int:
+                raise SchemaError(f"{key} must be an integer, got {value!r}")
         if not 1 <= self.n_pairs <= MAX_N_PAIRS:
             raise SchemaError(f"n_pairs must be in [1, {MAX_N_PAIRS}], got {self.n_pairs}")
         if not 0.0 <= self.p_strength <= 1.0:

@@ -1,11 +1,8 @@
 """Linear optical elements as unitaries on creation operators.
 
-Conventions, fixed once and verified by the test suite:
-  * 50/50 beamsplitter: the reflected arm carries a factor i,
-    a_source -> (a_bob + i a_alice) / sqrt(2) per polarization.
-  * half-wave plate at angle g: Jones matrix [[cos2g, sin2g], [sin2g, -cos2g]].
-  * phase shifter: multiplies the stated mode's creation operator by e^{i theta}
-    (used on V modes; H is untouched).
+Convention, fixed once and verified by the test suite: on the 50/50
+beamsplitter the reflected arm carries a factor i,
+a_source -> (a_bob + i a_alice) / sqrt(2) per polarization.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ class ModeUnitary:
     @classmethod
     def _unchecked(cls, modes: tuple[Mode, ...], matrix: np.ndarray) -> "ModeUnitary":
         """A unitary from distinct modes and a complex matrix of their size
-        that is unitary by construction, as the element builders make."""
+        that is unitary by construction, as ``bs_5050`` makes."""
         u = object.__new__(cls)
         object.__setattr__(u, "modes", modes)
         object.__setattr__(u, "matrix", matrix)
@@ -95,20 +92,6 @@ def bs_5050(
         mat[pos[b], pos[a]] = 1j * r
         mat[pos[s], pos[b]] = 1.0
     return ModeUnitary._unchecked(modes, mat)
-
-
-def hwp(angle: float, modes: tuple[Mode, Mode]) -> ModeUnitary:
-    """Half-wave plate at ``angle`` radians on one location's (H, V) pair."""
-    h, v = _require_hv_pair(modes, "half-wave plate")
-    c = math.cos(2.0 * angle)
-    s = math.sin(2.0 * angle)
-    mat = np.array([[c, s], [s, -c]], dtype=complex)
-    return ModeUnitary._unchecked((h, v), mat)
-
-
-def phase_shifter(theta: float, mode: Mode) -> ModeUnitary:
-    """Phase e^{i theta} on a single mode's creation operator."""
-    return ModeUnitary._unchecked((mode,), np.array([[np.exp(1j * theta)]], dtype=complex))
 
 
 def _compositions(n: int, k: int):

@@ -92,6 +92,13 @@ def occupation_label(modes: tuple[Mode, ...], occ: tuple[int, ...]) -> str:
     )
 
 
+def _count(c) -> int:
+    """A photon count as an int; one that is not whole raises, not truncates."""
+    if not float(c).is_integer():
+        raise ValueError(f"photon count {c!r} is not a whole number")
+    return int(c)
+
+
 def _pruned(
     amplitudes: Iterable[tuple[tuple[int, ...], complex]],
 ) -> dict[tuple[int, ...], complex]:
@@ -124,7 +131,7 @@ class FockState:
         if list(modes) != sorted(modes):
             raise ModeMismatchError("modes must be given in canonical order")
         amps = _pruned(
-            (tuple(int(c) for c in occ), amp) for occ, amp in amplitudes.items()
+            (tuple(map(_count, occ)), amp) for occ, amp in amplitudes.items()
         )
         for occ in amps:
             if len(occ) != len(modes):
@@ -285,7 +292,7 @@ def _checked_basis(
     """Modes and basis as tuples: unique canonically ordered modes, and
     distinct entries of one non-negative count per mode."""
     modes = tuple(modes)
-    basis = tuple(tuple(int(c) for c in occ) for occ in basis)
+    basis = tuple(tuple(map(_count, occ)) for occ in basis)
     if list(modes) != sorted(modes) or len(set(modes)) != len(modes):
         raise ModeMismatchError("modes must be unique and canonically ordered")
     if any(len(occ) != len(modes) for occ in basis):

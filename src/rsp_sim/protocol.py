@@ -6,8 +6,12 @@ them toward Alice and Bob; heralding on exactly one photon at Alice and
 Alice's single-photon measurement then steers Bob's multi-photon state:
 a sharp projection prepares a pure superposition of |n_H,(n-1)_V> and
 |(n-1)_H,n_V>, a partial projection of strength p prepares the matching
-rank-2 mixture. Everything downstream of the source is computed by
-simulating the optical elements, never by inserting the closed forms.
+rank-2 mixture. The beamsplitter and the herald evolve Fock states
+through the optical elements. Alice's one-photon instrument (a half-wave
+plate and a phase shifter) and Bob's analyzer are their Jones columns: one
+two-branch ket over (n, n-1) and (n-1, n), with n = 1 for Alice. The
+closed forms of Bob's prepared state stay test oracles; no pipeline
+inserts them.
 
 Each stage takes the value the previous one returned. ``shared_state(n)``
 depends only on the source size, so a caller builds it once per n and
@@ -23,7 +27,7 @@ import math
 
 import numpy as np
 
-from .elements import ModeUnitary, apply, bs_5050, hwp, phase_shifter
+from .elements import ModeUnitary, apply, bs_5050
 from .fock import (
     ALICE_H,
     ALICE_V,
@@ -96,17 +100,28 @@ def heralded_n(state: FockState | DensityOperator) -> int:
     return (bob + 1) // 2
 
 
-def alice_measurement_ket(gamma: float, theta: float = 0.0) -> FockState:
-    """Alice's projection ket, produced by her own instrument chain.
+def _branches(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The two occupations (n, n-1) and (n-1, n) of 2n-1 photons on an
+    (H, V) pair: Alice's one photon at n = 1, Bob's 2n-1 photons."""
+    return (n, n - 1), (n - 1, n)
 
-    A half-wave plate at gamma followed by a phase shifter on the V mode
-    turns |1_H> into cos(2 gamma)|1_H,0_V> + e^{i theta} sin(2 gamma)|0_H,1_V>.
-    """
-    ket = extend_modes(make_fock([(ALICE_H, 1)]), (ALICE_H, ALICE_V))
-    ket = apply(hwp(gamma, (ALICE_H, ALICE_V)), ket)
-    if theta != 0.0:
-        ket = apply(phase_shifter(theta, ALICE_V), ket)
-    return ket.normalized()
+
+def _two_branch_ket(modes: tuple[Mode, Mode], n: int, angle: float, phase: float) -> FockState:
+    """cos(2 angle)|n,(n-1)> + e^{i phase} sin(2 angle)|(n-1),n> on ``modes``."""
+    if not (n >= 1 and float(n).is_integer()):
+        raise ValueError(f"need a whole number n >= 1 of photon pairs, got n={n}")
+    hi, lo = _branches(int(n))
+    # the prune forms 0j + complex(coefficient): the bits that the element
+    # chain on |1_H>, and superposing two make_fock kets, give
+    amps = {hi: math.cos(2.0 * angle), lo: math.sin(2.0 * angle) * np.exp(1j * phase)}
+    return FockState._unchecked(modes, amps).normalized()
+
+
+def alice_measurement_ket(gamma: float, theta: float = 0.0) -> FockState:
+    """Alice's projection ket: the Jones column of her half-wave plate at
+    gamma and phase shifter theta on V acting on |1_H>,
+    cos(2 gamma)|1_H,0_V> + e^{i theta} sin(2 gamma)|0_H,1_V>."""
+    return _two_branch_ket((ALICE_H, ALICE_V), 1, gamma, theta)
 
 
 def alice_projector(gamma: float, theta: float = 0.0) -> Projector:
@@ -117,15 +132,7 @@ def alice_projector(gamma: float, theta: float = 0.0) -> Projector:
 
 def bob_measurement_ket(n: int, delta: float, phi: float = 0.0) -> FockState:
     """Bob's analysis ket cos(2 delta)|n,(n-1)> + e^{i phi} sin(2 delta)|(n-1),n>."""
-    if n < 1:
-        raise ValueError(f"need at least one photon pair, got n={n}")
-    n = int(n)
-    c = math.cos(2.0 * delta)
-    s = math.sin(2.0 * delta)
-    # the prune forms 0j + complex(coefficient), which has the bits that
-    # superposing two make_fock kets with these coefficients gives
-    amps = {(n, n - 1): c, (n - 1, n): s * np.exp(1j * phi)}
-    return FockState._unchecked((BOB_H, BOB_V), amps).normalized()
+    return _two_branch_ket((BOB_H, BOB_V), n, delta, phi)
 
 
 def closed_form_bob_ket(n: int, gamma: float, theta: float) -> FockState:
@@ -143,7 +150,7 @@ def closed_form_bob_density(ket: FockState, p: float) -> DensityOperator:
     if ket.modes != (BOB_H, BOB_V):
         raise ModeMismatchError("closed-form density expects a ket on Bob's H and V modes")
     n = heralded_n(ket)
-    basis = ((n - 1, n), (n, n - 1))
+    basis = sorted(_branches(n))
     if not set(ket.amps) <= set(basis):
         raise ValueError(f"ket is not on Bob's two-branch basis for n={n}")
     return white_noise_mixture(ket, basis, p)

@@ -4,9 +4,11 @@ Transition amplitudes are evaluated with the permanent formula
 <out|U|in> = perm(U[out-rows, in-cols]) / sqrt(prod(in!) * prod(out!)),
 using a naive permutation-sum permanent. The library itself expands
 creation-operator polynomials and never computes permanents, so agreement
-between the two is a genuine cross-check. Bob's analysis ket is also built
-here through the checked public constructors, the route the library's direct
-two-amplitude build must match bit for bit.
+between the two is a genuine cross-check. Alice's instrument ket and Bob's
+analysis ket are also built here through the checked public constructors:
+Alice's by evolving |1_H> through a half-wave plate and a phase shifter with
+``apply``, Bob's by superposing two ``make_fock`` kets. These are the routes
+the library's direct two-branch build must match bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +18,18 @@ import math
 
 import numpy as np
 
-from rsp_sim import BOB_H, BOB_V, FockState, make_fock, superpose
+from rsp_sim import (
+    ALICE_H,
+    ALICE_V,
+    BOB_H,
+    BOB_V,
+    FockState,
+    ModeUnitary,
+    apply,
+    extend_modes,
+    make_fock,
+    superpose,
+)
 
 # 6-mode splitter written out by hand in canonical mode order
 # (S_H, S_V, A_H, A_V, B_H, B_V); column j is the image of mode j.
@@ -109,3 +122,27 @@ def bob_measurement_ket_by_superposition(n: int, delta: float, phi: float = 0.0)
     c = math.cos(2.0 * delta)
     s = math.sin(2.0 * delta)
     return superpose([(c, hi), (s * np.exp(1j * phi), lo)]).normalized()
+
+
+def wave_plate(gamma: float) -> ModeUnitary:
+    """Alice's half-wave plate at ``gamma``, Jones matrix
+    [[cos 2g, sin 2g], [sin 2g, -cos 2g]], through the checked constructor."""
+    c = math.cos(2.0 * gamma)
+    s = math.sin(2.0 * gamma)
+    return ModeUnitary((ALICE_H, ALICE_V), np.array([[c, s], [s, -c]], dtype=complex))
+
+
+def phase_shift(theta: float) -> ModeUnitary:
+    """Alice's phase shifter: e^{i theta} on her V mode's creation operator."""
+    return ModeUnitary((ALICE_V,), np.array([[np.exp(1j * theta)]], dtype=complex))
+
+
+def alice_measurement_ket_by_elements(gamma: float, theta: float = 0.0) -> FockState:
+    """Alice's instrument ket cos(2 gamma)|1_H,0_V> + e^{i theta} sin(2 gamma)|0_H,1_V>
+    by evolving |1_H> through her wave plate and, when theta != 0, her phase
+    shifter on V."""
+    ket = extend_modes(make_fock([(ALICE_H, 1)]), (ALICE_H, ALICE_V))
+    ket = apply(wave_plate(gamma), ket)
+    if theta != 0.0:
+        ket = apply(phase_shift(theta), ket)
+    return ket.normalized()

@@ -265,6 +265,23 @@ def test_each_runner_builds_one_shared_state_per_n(experiment, monkeypatch):
     assert sorted(calls) == sorted(sizes)
 
 
+@pytest.mark.parametrize("preset, applies", [("eq10_general_n", 4), ("table1_chsh", 1)])
+def test_only_the_splitter_runs_through_apply(preset, applies, monkeypatch):
+    # Alice's instrument and Bob's analyzer are their Jones columns, so the
+    # only evolution a run computes is one split per shared state
+    calls = []
+    original = protocol.apply
+
+    def counting(u, state):
+        calls.append(u.modes)
+        return original(u, state)
+
+    monkeypatch.setattr(protocol, "apply", counting)
+    scenarios.run_scenario(PRESETS[preset])
+    assert len(calls) == applies
+    assert set(calls) == {protocol.splitting_unitary().modes}
+
+
 def _count_splits(monkeypatch):
     # (photons in the split basis, measurement) of each on (x) rest split made
     calls = []

@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from rsp_sim import GridSpec, ScenarioConfig, SchemaError, load_config, parse_angle
@@ -192,6 +193,33 @@ def test_integer_keys_reject_bools_and_fractions(raw):
     with pytest.raises(SchemaError, match="integer"):
         config_from_mapping({"experiment": "phase_fringe", "grid_start": 0,
                              "grid_stop": 1, "grid_points": 3, **raw})
+
+
+_NON_INTEGER_FIELDS = {
+    "fractional-n_pairs": {"n_pairs": 2.5},
+    "bool-n_pairs": {"n_pairs": True},
+    "float-n_pairs": {"n_pairs": 2.0},
+    "string-n_pairs": {"n_pairs": "2"},
+    "numpy-n_pairs": {"n_pairs": np.int64(2)},
+    "fractional-shots": {"shots": 2.5, "seed": 1},
+    "bool-shots": {"shots": True, "seed": 1},
+    "fractional-seed": {"seed": 1.5},
+    "bool-seed": {"seed": False},
+    "fractional-trials": {"trials": 2.5},
+    "bool-trials": {"trials": True},
+    "fractional-grid_points": {"grid": GridSpec(1, 2, 2.5)},
+    "bool-grid_points": {"grid": GridSpec(1, 2, True)},
+}
+
+
+@pytest.mark.parametrize("fields", _NON_INTEGER_FIELDS.values(), ids=list(_NON_INTEGER_FIELDS))
+def test_construction_rejects_bools_and_non_integers(fields):
+    # a fractional n_pairs or trials used to pass and fail only mid-run
+    base = ScenarioConfig(experiment="general_n", grid=GridSpec(1, 2, 2))
+    with pytest.raises(SchemaError, match="must be an integer"):
+        ScenarioConfig(**{**vars(base), **fields})
+    with pytest.raises(SchemaError, match="must be an integer"):
+        replace(base, **fields)
 
 
 @pytest.mark.parametrize("value", [True, False, "half", None])

@@ -14,17 +14,16 @@ from rsp_sim import (
     ModeMismatchError,
     apply,
     bs_5050,
+    FockState,
     extend_modes,
-    hwp,
     inner_product,
     make_fock,
-    phase_shifter,
     superpose,
 )
 from rsp_sim.fock import NORM_TOL
-from rsp_sim.protocol import splitting_unitary
+from rsp_sim.protocol import alice_measurement_ket, bob_measurement_ket, splitting_unitary
 from helpers import ALL_MODES, random_state, random_unitary, state_distance
-from oracles import SPLITTER_MATRIX, output_distribution
+from oracles import SPLITTER_MATRIX, output_distribution, phase_shift, wave_plate
 
 RNG = np.random.default_rng(7081525)
 
@@ -83,72 +82,6 @@ def test_bs_rejects_mismatched_polarizations():
         bs_5050((SOURCE_H, ALICE_V), (ALICE_H, ALICE_V), (BOB_H, BOB_V))
 
 
-def test_hwp_quarter_turn_swaps_polarizations():
-    ket = extend_modes(make_fock([(ALICE_H, 1)]), (ALICE_H, ALICE_V))
-    out = apply(hwp(math.pi / 4, (ALICE_H, ALICE_V)), ket)
-    assert abs(out.amps.get((0, 1), 0j) - 1.0) < 1e-12
-    assert abs(out.amps.get((1, 0), 0j)) < 1e-12
-
-
-def test_hwp_zero_angle_fixes_h():
-    ket = extend_modes(make_fock([(ALICE_H, 1)]), (ALICE_H, ALICE_V))
-    out = apply(hwp(0.0, (ALICE_H, ALICE_V)), ket)
-    assert abs(out.amps.get((1, 0), 0j) - 1.0) < 1e-12
-
-
-def test_hwp_eighth_turn_makes_balanced_superposition():
-    ket = extend_modes(make_fock([(ALICE_H, 1)]), (ALICE_H, ALICE_V))
-    out = apply(hwp(math.pi / 8, (ALICE_H, ALICE_V)), ket)
-    inv = 1.0 / math.sqrt(2.0)
-    assert abs(out.amps.get((1, 0), 0j) - inv) < 1e-12
-    assert abs(out.amps.get((0, 1), 0j) - inv) < 1e-12
-
-
-def test_hwp_angle_is_periodic_up_to_sign():
-    g = 0.3
-    assert np.allclose(
-        hwp(g + math.pi / 2, (BOB_H, BOB_V)).matrix,
-        -hwp(g, (BOB_H, BOB_V)).matrix,
-        atol=1e-12,
-    )
-
-
-def test_hwp_rejects_non_pair():
-    with pytest.raises(ModeMismatchError):
-        hwp(0.1, (ALICE_H, BOB_V))
-    with pytest.raises(ModeMismatchError):
-        hwp(0.1, (ALICE_V, ALICE_H))
-
-
-def test_phase_shifter_identity_at_zero():
-    ket = superpose([
-        (1.0, make_fock([(ALICE_H, 1), (ALICE_V, 0)])),
-        (1.0, make_fock([(ALICE_H, 0), (ALICE_V, 1)])),
-    ]).normalized()
-    out = apply(phase_shifter(0.0, ALICE_V), ket)
-    assert state_distance(out, ket) < 1e-12
-
-
-def test_phase_shifter_pi_flips_v_sign():
-    inv = 1.0 / math.sqrt(2.0)
-    ket = superpose([
-        (inv, make_fock([(ALICE_H, 1), (ALICE_V, 0)])),
-        (inv, make_fock([(ALICE_H, 0), (ALICE_V, 1)])),
-    ])
-    out = apply(phase_shifter(math.pi, ALICE_V), ket)
-    target = superpose([
-        (inv, make_fock([(ALICE_H, 1), (ALICE_V, 0)])),
-        (-inv, make_fock([(ALICE_H, 0), (ALICE_V, 1)])),
-    ])
-    assert state_distance(out, target) < 1e-12
-
-
-def test_phase_shifter_quarter_turn_on_single_v_photon():
-    ket = make_fock([(ALICE_H, 0), (ALICE_V, 1)])
-    out = apply(phase_shifter(math.pi / 2, ALICE_V), ket)
-    assert abs(out.amps.get((0, 1), 0j) - 1j) < 1e-12
-
-
 def test_apply_identity_is_noop():
     state = random_state(RNG, (BOB_H, BOB_V), 3)
     ident = ModeUnitary((BOB_H, BOB_V), np.eye(2, dtype=complex))
@@ -158,7 +91,7 @@ def test_apply_identity_is_noop():
 def test_apply_rejects_unknown_modes():
     state = make_fock([(BOB_H, 1), (BOB_V, 1)])
     with pytest.raises(ModeMismatchError):
-        apply(hwp(0.2, (ALICE_H, ALICE_V)), state)
+        apply(wave_plate(0.2), state)
 
 
 def test_apply_preserves_norm_for_random_unitaries():
@@ -197,7 +130,7 @@ def test_unitarity_enforced_at_construction():
     with pytest.raises(ValueError):
         ModeUnitary((BOB_H, BOB_V), np.array([[1.0, 0.0], [0.0, 2.0]]))
     # a wave plate scaled just past the tolerance is no longer unitary
-    plate = hwp(0.3, (ALICE_H, ALICE_V)).matrix
+    plate = wave_plate(0.3).matrix
     with pytest.raises(ValueError, match="not unitary"):
         ModeUnitary((ALICE_H, ALICE_V), plate * (1.0 + 10 * NORM_TOL))
 
@@ -207,29 +140,32 @@ def test_unitarity_enforced_at_construction():
     [0.0, -0.0, 1e-300, math.pi / 8, -math.pi / 3, 2 * math.pi, 1e3, -7.5e4, 1e9, 1e15, 1e300],
 )
 def test_element_builders_are_unitary_by_construction(angle):
-    # the builders skip ModeUnitary's check, so what it would check holds
-    # here, also for angles many periods away from zero
-    for u in (
-        hwp(angle, (ALICE_H, ALICE_V)),
-        hwp(angle, (BOB_H, BOB_V)),
-        phase_shifter(angle, ALICE_V),
-        _splitter(),
-    ):
-        assert u.matrix.dtype == complex
-        assert u.matrix.shape == (len(u.modes), len(u.modes))
-        assert len(set(u.modes)) == len(u.modes)
-        defect = np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(len(u.modes))))
-        assert defect <= NORM_TOL
-        checked = ModeUnitary(u.modes, u.matrix)
-        assert checked.modes == u.modes
-        assert np.array_equal(checked.matrix, u.matrix)
+    # the splitter and the instrument kets skip ModeUnitary's and FockState's
+    # checks, so what those would check holds here, also for angles many
+    # periods away from zero
+    u = _splitter()
+    assert u.matrix.dtype == complex
+    assert u.matrix.shape == (len(u.modes), len(u.modes))
+    assert len(set(u.modes)) == len(u.modes)
+    defect = np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(len(u.modes))))
+    assert defect <= NORM_TOL
+    checked = ModeUnitary(u.modes, u.matrix)
+    assert checked.modes == u.modes
+    assert np.array_equal(checked.matrix, u.matrix)
+    for ket in (alice_measurement_ket(angle, angle), bob_measurement_ket(3, angle, angle)):
+        checked = FockState(ket.modes, ket.amps)
+        assert checked.modes == ket.modes
+        assert checked.amps == ket.amps
+        assert checked.total_photons == ket.total_photons
+        assert all(type(a) is complex for a in ket.amps.values())
+        assert abs(ket.norm() - 1.0) <= NORM_TOL
 
 
 def test_apply_and_normalized_return_plain_complex_amplitudes():
     # apply sums numpy complex128 products; the state stores Python complex,
     # whose arithmetic every later stage, and the preset bytes, depend on
     ket = extend_modes(make_fock([(ALICE_H, 1)]), (ALICE_H, ALICE_V))
-    out = apply(phase_shifter(0.7, ALICE_V), apply(hwp(0.3, (ALICE_H, ALICE_V)), ket))
+    out = apply(phase_shift(0.7), apply(wave_plate(0.3), ket))
     assert out.amps and all(type(a) is complex for a in out.amps.values())
     scaled = superpose([(3.0, out)]).normalized()
     assert all(type(a) is complex for a in scaled.amps.values())

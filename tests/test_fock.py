@@ -51,6 +51,32 @@ def test_make_fock_rejects_negative_count():
         make_fock([(BOB_H, -1), (BOB_V, 2)])
 
 
+_FRACTIONAL_COUNT_BUILDS = {
+    "make_fock": lambda: make_fock([(BOB_H, 1.7), (BOB_V, 1)]),
+    "fock_state": lambda: FockState((BOB_H, BOB_V), {(2.9, 0): 1.0}),
+    "fock_state_inf": lambda: FockState((BOB_H, BOB_V), {(math.inf, 0): 1.0}),
+    "density_operator": lambda: DensityOperator((BOB_H,), [(1.5,)], [[1.0]]),
+    "density_operator_nan": lambda: DensityOperator((BOB_H,), [(math.nan,)], [[1.0]]),
+}
+
+
+@pytest.mark.parametrize(
+    "build", _FRACTIONAL_COUNT_BUILDS.values(), ids=list(_FRACTIONAL_COUNT_BUILDS)
+)
+def test_constructors_reject_fractional_photon_counts(build):
+    # such counts used to be truncated without a word: 1.7 photons read as 1
+    with pytest.raises(ValueError, match="whole number"):
+        build()
+
+
+def test_constructors_accept_integral_counts_of_any_number_type():
+    s = FockState((BOB_H, BOB_V), {(np.int64(2), 1.0): 1.0})
+    assert s.amps == {(2, 1): 1 + 0j}
+    assert all(type(c) is int for c in next(iter(s.amps)))
+    rho = DensityOperator((BOB_H,), [(np.float64(3.0),)], [[1.0]])
+    assert rho.basis == ((3,),)
+
+
 def test_make_fock_rejects_duplicates_and_non_modes():
     with pytest.raises(ModeMismatchError):
         make_fock([(BOB_H, 1), (BOB_H, 1)])

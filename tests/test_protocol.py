@@ -31,7 +31,11 @@ from rsp_sim import (
 )
 from rsp_sim.protocol import alice_measurement_ket
 from helpers import reference_shared_ket, tagged_population
-from oracles import bob_measurement_ket_by_superposition, splitter_herald_amplitudes
+from oracles import (
+    alice_measurement_ket_by_elements,
+    bob_measurement_ket_by_superposition,
+    splitter_herald_amplitudes,
+)
 
 RNG = np.random.default_rng(31415)
 
@@ -278,6 +282,55 @@ def test_bob_measurement_ket_matches_the_make_fock_route(n, delta, phi):
     # repr tells a -0.0 part from +0.0, which == does not
     assert repr(list(direct.amps.items())) == repr(list(route.amps.items()))
     assert all(type(a) is complex for a in direct.amps.values())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(gamma=_ANALYZER_ANGLES, theta=_ANALYZER_ANGLES)
+def test_alice_measurement_ket_matches_the_element_chain(gamma, theta):
+    direct = alice_measurement_ket(gamma, theta)
+    chain = alice_measurement_ket_by_elements(gamma, theta)
+    assert direct.modes == chain.modes == (ALICE_H, ALICE_V)
+    assert direct.total_photons == chain.total_photons == 1
+    # the chain inserts (0, 1) first, so compare the items in key order
+    assert set(direct.amps) == set(chain.amps)
+    assert direct.items() == chain.items()
+    # repr tells a -0.0 part from +0.0, which == does not
+    assert repr(direct.items()) == repr(chain.items())
+    assert all(type(a) is complex for a in direct.amps.values())
+
+
+_INV = 1.0 / math.sqrt(2.0)
+_ALICE_LANDMARKS = {
+    "zero_angle_fixes_h": (0.0, 0.0, {(1, 0): 1.0}),
+    "quarter_turn_swaps_polarizations": (math.pi / 4, 0.0, {(0, 1): 1.0}),
+    "eighth_turn_balances": (math.pi / 8, 0.0, {(1, 0): _INV, (0, 1): _INV}),
+    "half_turn_flips_sign": (
+        0.3 + math.pi / 2, 0.0, {(1, 0): -math.cos(0.6), (0, 1): -math.sin(0.6)}
+    ),
+    "full_phase_turn_is_identity": (math.pi / 8, 2 * math.pi, {(1, 0): _INV, (0, 1): _INV}),
+    "phase_pi_flips_v_sign": (math.pi / 8, math.pi, {(1, 0): _INV, (0, 1): -_INV}),
+    "phase_quarter_turn_on_v": (math.pi / 4, math.pi / 2, {(0, 1): 1j}),
+}
+
+
+@pytest.mark.parametrize(
+    "gamma, theta, expected", _ALICE_LANDMARKS.values(), ids=list(_ALICE_LANDMARKS)
+)
+def test_alice_measurement_ket_at_landmark_settings(gamma, theta, expected):
+    ket = alice_measurement_ket(gamma, theta)
+    assert ket.modes == (ALICE_H, ALICE_V)
+    assert set(ket.amps) == set(expected)
+    for occ, amp in expected.items():
+        assert abs(ket.amps[occ] - amp) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2.5, 1.5, 0.5, math.inf, math.nan])
+def test_bob_measurement_ket_rejects_fractional_pairs(n):
+    # a fractional n used to be truncated to the ket of a smaller source
+    with pytest.raises(ValueError, match="whole number"):
+        bob_measurement_ket(n, 0.1, 0.2)
+    with pytest.raises(ValueError):
+        bob_measurement_ket_by_superposition(n, 0.1, 0.2)
 
 
 @pytest.mark.parametrize("n", [0, -1, -7])
