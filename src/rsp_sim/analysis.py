@@ -31,6 +31,7 @@ from .fock import (
     DensityOperator,
     FockState,
     ModeMismatchError,
+    _expectation,
     expectation,
     tensor,
     to_density,
@@ -262,14 +263,18 @@ def fringe_scan(rho: DensityOperator, axis: str, grid: Sequence[float]) -> Fring
         raise ValueError(f"unknown scan axis {axis!r}")
     if len(grid) == 0:
         raise ValueError("empty scan grid")
+    if rho.modes != (BOB_H, BOB_V):
+        raise ModeMismatchError("fringe scan expects a state on Bob's H and V modes")
     n = protocol.heralded_n(rho)
+    # bob_measurement_ket's amplitudes without the ket, and one contraction
+    # per point: a batched einsum sums in another order and moves bits
     probs = []
     for x in grid:
         if axis == "phase_phi":
-            ket = protocol.bob_measurement_ket(n, math.pi / 8, phi=float(x))
+            amps = protocol._two_branch_amplitudes(n, math.pi / 8, float(x))
         else:
-            ket = protocol.bob_measurement_ket(n, float(x), phi=0.0)
-        probs.append(expectation(rho, ket))
+            amps = protocol._two_branch_amplitudes(n, float(x), 0.0)
+        probs.append(_expectation(rho, amps))
     frequency = 1.0 if axis == "phase_phi" else 4.0
     mean, amplitude, offset = fit_fringe(grid, probs, frequency)
     visibility = 0.0 if mean <= FIT_FLOOR else amplitude / mean

@@ -11,6 +11,7 @@ from __future__ import annotations
 import ast
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -156,6 +157,16 @@ class ScenarioConfig:
         for key, value in {"n_pairs": self.n_pairs, "trials": self.trials, **given}.items():
             if type(value) is not int:
                 raise SchemaError(f"{key} must be an integer, got {value!r}")
+        # an int or float each, no bool, and finite as a float: NaN, inf and an
+        # int too large to convert compare false
+        grid = {} if self.grid is None else {
+            "grid start": self.grid.start, "grid stop": self.grid.stop}
+        numbers = {"gamma": self.gamma, "theta": self.theta, "p_strength": self.p_strength,
+                   "distinguishability": self.distinguishability, **grid}
+        for key, value in numbers.items():
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not abs(value) <= sys.float_info.max):
+                raise SchemaError(f"{key} must be a finite number, got {value!r}")
         if not 1 <= self.n_pairs <= MAX_N_PAIRS:
             raise SchemaError(f"n_pairs must be in [1, {MAX_N_PAIRS}], got {self.n_pairs}")
         if not 0.0 <= self.p_strength <= 1.0:
@@ -219,7 +230,7 @@ def _number(key: str, value: Any) -> float:
         raise SchemaError(f"{key} must be a number, got {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{key} must be a number, got {value!r}") from exc
 
 

@@ -102,15 +102,32 @@ def _count(c) -> int:
 def _pruned(
     amplitudes: Iterable[tuple[tuple[int, ...], complex]],
 ) -> dict[tuple[int, ...], complex]:
-    """Amplitudes as plain ``complex``, each above ``AMP_PRUNE``, equal keys summed."""
+    """Amplitudes as plain ``complex``, each above ``AMP_PRUNE``, equal keys
+    summed; a NaN or infinite amplitude raises instead of being dropped."""
     amps: dict[tuple[int, ...], complex] = {}
     for occ, amp in amplitudes:
         amp = complex(amp)
-        if abs(amp) > AMP_PRUNE:
+        size = abs(amp)
+        if AMP_PRUNE < size < math.inf:
             amps[occ] = amps.get(occ, 0j) + amp
+        elif not size <= AMP_PRUNE:
+            raise ValueError(f"amplitude {amp!r} of {occ} is not finite")
     if not amps:
         raise ValueError("state has no support")
     return amps
+
+
+def _norm(amps: Mapping[tuple[int, ...], complex]) -> float:
+    """The norm of ``amps``, summed in sorted key order."""
+    return math.sqrt(sum(abs(a) ** 2 for _, a in sorted(amps.items())))
+
+
+def _normalized(amps: Mapping[tuple[int, ...], complex]) -> dict[tuple[int, ...], complex]:
+    """Pruned amplitudes divided by their ``_norm``, then pruned again."""
+    norm = _norm(amps)
+    if norm <= AMP_PRUNE:
+        raise ValueError("cannot normalize a numerically zero state")
+    return _pruned((occ, a / norm) for occ, a in amps.items())
 
 
 class FockState:
@@ -158,21 +175,25 @@ class FockState:
         """A state from canonically ordered modes and keys that already match
         them and share one photon number, as the library's own operations
         produce; only the amplitudes are pruned and summed."""
+        return cls._of_pruned(modes, _pruned(amplitudes.items()))
+
+    @classmethod
+    def _of_pruned(
+        cls, modes: tuple[Mode, ...], amps: dict[tuple[int, ...], complex]
+    ) -> "FockState":
+        """``_unchecked`` for amplitudes that ``_pruned`` already returned."""
         state = object.__new__(cls)
         state.modes = modes
-        state.amps = _pruned(amplitudes.items())
-        state.total_photons = sum(next(iter(state.amps)))
+        state.amps = amps
+        state.total_photons = sum(next(iter(amps)))
         state._splits = {}
         return state
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for _, a in sorted(self.amps.items())))
+        return _norm(self.amps)
 
     def normalized(self) -> "FockState":
-        n = self.norm()
-        if n <= AMP_PRUNE:
-            raise ValueError("cannot normalize a numerically zero state")
-        return FockState._unchecked(self.modes, {occ: a / n for occ, a in self.amps.items()})
+        return FockState._of_pruned(self.modes, _normalized(self.amps))
 
     def items(self):
         return sorted(self.amps.items())
@@ -387,7 +408,13 @@ def expectation(rho: DensityOperator, ket: FockState) -> float:
         raise ModeMismatchError(
             f"ket holds {ket.total_photons} photons, the operator's basis {photons}"
         )
-    v = np.array([ket.amps.get(occ, 0j) for occ in rho.basis], dtype=complex)
+    return _expectation(rho, ket.amps)
+
+
+def _expectation(rho: DensityOperator, amps: Mapping[tuple[int, ...], complex]) -> float:
+    """<v|rho|v> for the amplitudes ``amps``, read at rho's basis entries;
+    ``expectation`` without its checks."""
+    v = np.array([amps.get(occ, 0j) for occ in rho.basis], dtype=complex)
     return float(np.einsum("i,ij,j->", v.conj(), rho.matrix, v).real)
 
 

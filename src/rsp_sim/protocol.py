@@ -16,9 +16,11 @@ inserts them.
 Each stage takes the value the previous one returned. ``shared_state(n)``
 depends only on the source size, so a caller builds it once per n and
 passes it to ``rsp_pure`` or ``rsp_mixed`` for every setting of Alice's
-instrument. That setting is ``alice_projector(gamma, theta)``, built once
-per (gamma, theta) and reused for every p;
-``distinguishability_demo`` takes the ket ``rsp_pure`` made.
+instrument. ``shared_state`` computes the split and herald on every call;
+the scenario runners keep its result per n for the life of the process
+(``scenarios._shared_state``). Alice's setting is
+``alice_projector(gamma, theta)``, built once per (gamma, theta) and reused
+for every p; ``distinguishability_demo`` takes the ket ``rsp_pure`` made.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from .fock import (
     Mode,
     ModeMismatchError,
     Polarization,
+    _normalized,
+    _pruned,
     extend_modes,
     make_fock,
     white_noise_mixture,
@@ -73,7 +77,8 @@ def shared_state(n: int) -> tuple[float, FockState]:
     """Split the source on the beamsplitter and herald (1 at Alice, 2n-1 at Bob).
 
     Returns the herald probability and the conditional state on the Alice and
-    Bob modes (source modes, empty after the split, are dropped).
+    Bob modes (source modes, empty after the split, are dropped). Each call
+    computes both; ``scenarios`` memoizes them per n.
     """
     source = extend_modes(build_source(n), (ALICE_H, ALICE_V, BOB_H, BOB_V))
     split = apply(splitting_unitary(), source)
@@ -106,15 +111,21 @@ def _branches(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return (n, n - 1), (n - 1, n)
 
 
-def _two_branch_ket(modes: tuple[Mode, Mode], n: int, angle: float, phase: float) -> FockState:
-    """cos(2 angle)|n,(n-1)> + e^{i phase} sin(2 angle)|(n-1),n> on ``modes``."""
+def _two_branch_amplitudes(n: int, angle: float, phase: float) -> dict[tuple[int, int], complex]:
+    """The amplitudes of cos(2 angle)|n,(n-1)> + e^{i phase} sin(2 angle)|(n-1),n>
+    on an (H, V) pair, normalized and pruned as a ``FockState`` holds them."""
     if not (n >= 1 and float(n).is_integer()):
         raise ValueError(f"need a whole number n >= 1 of photon pairs, got n={n}")
     hi, lo = _branches(int(n))
     # the prune forms 0j + complex(coefficient): the bits that the element
     # chain on |1_H>, and superposing two make_fock kets, give
     amps = {hi: math.cos(2.0 * angle), lo: math.sin(2.0 * angle) * np.exp(1j * phase)}
-    return FockState._unchecked(modes, amps).normalized()
+    return _normalized(_pruned(amps.items()))
+
+
+def _two_branch_ket(modes: tuple[Mode, Mode], n: int, angle: float, phase: float) -> FockState:
+    """``_two_branch_amplitudes`` as a ket on ``modes``."""
+    return FockState._of_pruned(modes, _two_branch_amplitudes(n, angle, phase))
 
 
 def alice_measurement_ket(gamma: float, theta: float = 0.0) -> FockState:

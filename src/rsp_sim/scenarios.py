@@ -3,13 +3,17 @@
 Each experiment's runner returns a list of per-point dicts (one per grid
 value, correlation setting, or state component) and a summary dict. Every
 point of a run has the same keys in the same order, and that order is the
-CSV column order. A runner builds ``protocol.shared_state(n)`` once for each
-distinct source size n and passes it to every preparation at that n, and
-Alice's projector once for each (gamma, theta).
+CSV column order. The heralded shared state depends only on the source size
+n, so ``_shared_state(n)`` memoizes ``protocol.shared_state(n)`` for the life
+of the process: the first run at an n computes it, and every later run at
+that n, in any experiment, reuses the same herald probability and ket.
+``protocol.shared_state`` itself still computes on every call. A runner
+builds Alice's projector once for each (gamma, theta).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -18,7 +22,18 @@ import numpy as np
 
 from . import __version__, analysis, protocol
 from .config import ScenarioConfig
-from .fock import inner_product, occupation_label, operator_distance, to_density
+from .fock import FockState, inner_product, occupation_label, operator_distance, to_density
+
+
+@functools.cache
+def _shared_state(n: int) -> tuple[float, FockState]:
+    """``protocol.shared_state(n)``, computed once per source size n.
+
+    Keys are validated ``n_pairs`` and ``general_n`` sizes, so the memo holds
+    at most ``MAX_N_PAIRS`` entries. The ket is shared by every later run and
+    is never mutated; only its measurement splits are cached on it.
+    """
+    return protocol.shared_state(n)
 
 
 def _scenario_echo(config: ScenarioConfig) -> dict:
@@ -46,7 +61,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
 
 
 def _run_chsh(config: ScenarioConfig):
-    _, shared = protocol.shared_state(config.n_pairs)
+    _, shared = _shared_state(config.n_pairs)
     state = analysis.white_noise_shared_state(shared, config.p_strength)
     rng = np.random.default_rng(config.seed) if config.shots else None
     kets = analysis.outcome_kets(config.n_pairs)
@@ -79,7 +94,7 @@ def _run_chsh(config: ScenarioConfig):
 
 
 def _run_fringe(config: ScenarioConfig, axis: str, knob: str):
-    _, shared = protocol.shared_state(config.n_pairs)
+    _, shared = _shared_state(config.n_pairs)
     phi = protocol.alice_projector(config.gamma, config.theta)
     _, rho = protocol.rsp_mixed(shared, phi, config.p_strength)
     scan = analysis.fringe_scan(rho, axis, config.grid.values())
@@ -114,7 +129,7 @@ def _run_fringe(config: ScenarioConfig, axis: str, knob: str):
 def _run_mixed_state(config: ScenarioConfig):
     n, gamma, theta = config.n_pairs, config.gamma, config.theta
     target = protocol.closed_form_bob_ket(n, gamma, theta)
-    shared = to_density(protocol.shared_state(n)[1])
+    shared = to_density(_shared_state(n)[1])
     phi = protocol.alice_projector(gamma, theta)
     points = []
     for p in config.grid.values():
@@ -137,7 +152,7 @@ def _run_mixed_state(config: ScenarioConfig):
 
 
 def _run_populations(config: ScenarioConfig):
-    _, shared = protocol.shared_state(config.n_pairs)
+    _, shared = _shared_state(config.n_pairs)
     phi = protocol.alice_projector(config.gamma, config.theta)
     _, rho = protocol.rsp_mixed(shared, phi, config.p_strength)
     populations = analysis.component_populations(rho)
@@ -160,16 +175,16 @@ def _run_populations(config: ScenarioConfig):
 def _run_general_n(config: ScenarioConfig):
     rng = np.random.default_rng(config.seed)
     sizes = [int(round(value)) for value in config.grid.values()]
-    shared = {n: protocol.shared_state(n)[1] for n in set(sizes)}
-    density = {n: to_density(ket) for n, ket in shared.items()}
+    density = {n: to_density(_shared_state(n)[1]) for n in set(sizes)}
     points = []
     for n in sizes:
+        _, shared = _shared_state(n)
         for trial in range(config.trials):
             gamma = float(rng.uniform(0.0, math.pi / 4))
             theta = float(rng.uniform(0.0, 2 * math.pi))
             p = float(rng.uniform(0.0, 1.0))
             phi = protocol.alice_projector(gamma, theta)
-            _, bob = protocol.rsp_pure(shared[n], phi)
+            _, bob = protocol.rsp_pure(shared, phi)
             _, rho = protocol.rsp_mixed(density[n], phi, p)
             target = protocol.closed_form_bob_ket(n, gamma, theta)
             points.append(
@@ -193,7 +208,7 @@ def _run_general_n(config: ScenarioConfig):
 
 
 def _run_distinguishability(config: ScenarioConfig):
-    _, shared = protocol.shared_state(config.n_pairs)
+    _, shared = _shared_state(config.n_pairs)
     _, bob = protocol.rsp_pure(shared, protocol.alice_projector(config.gamma, config.theta))
     mixed = protocol.distinguishability_demo(bob, config.distinguishability)
     populations = analysis.component_populations(mixed)

@@ -19,6 +19,7 @@ from rsp_sim import (
     component_populations,
     correlation,
     count_table,
+    expectation,
     fit_fringe,
     fringe_scan,
     make_fock,
@@ -245,10 +246,11 @@ RUNNER_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("experiment", EXPERIMENTS)
-def test_each_runner_builds_one_shared_state_per_n(experiment, monkeypatch):
-    # the shared state depends only on n, so a runner builds it once per n
-    config = RUNNER_CONFIGS[experiment]
+@pytest.fixture
+def shared_state_calls(monkeypatch):
+    """Each n that ``protocol.shared_state`` is called with, counted from a
+    cold scenario memo."""
+    scenarios._shared_state.cache_clear()
     calls = []
     original = protocol.shared_state
 
@@ -257,16 +259,26 @@ def test_each_runner_builds_one_shared_state_per_n(experiment, monkeypatch):
         return original(n)
 
     monkeypatch.setattr(protocol, "shared_state", counting)
+    return calls
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_each_runner_builds_one_shared_state_per_n(experiment, shared_state_calls):
+    # the shared state depends only on n, so a process builds it once per n
+    config = RUNNER_CONFIGS[experiment]
     scenarios.run_scenario(config)
     if experiment == "general_n":
         sizes = {int(round(v)) for v in config.grid.values()}
     else:
         sizes = {config.n_pairs}
-    assert sorted(calls) == sorted(sizes)
+    assert sorted(shared_state_calls) == sorted(sizes)
+    # a second run at the same sizes reuses the memo and builds none
+    scenarios.run_scenario(config)
+    assert sorted(shared_state_calls) == sorted(sizes)
 
 
 @pytest.mark.parametrize("preset, applies", [("eq10_general_n", 4), ("table1_chsh", 1)])
-def test_only_the_splitter_runs_through_apply(preset, applies, monkeypatch):
+def test_only_the_splitter_runs_through_apply(preset, applies, shared_state_calls, monkeypatch):
     # Alice's instrument and Bob's analyzer are their Jones columns, so the
     # only evolution a run computes is one split per shared state
     calls = []
@@ -280,6 +292,10 @@ def test_only_the_splitter_runs_through_apply(preset, applies, monkeypatch):
     scenarios.run_scenario(PRESETS[preset])
     assert len(calls) == applies
     assert set(calls) == {protocol.splitting_unitary().modes}
+    # a warm memo leaves no split to compute
+    built = len(shared_state_calls)
+    scenarios.run_scenario(PRESETS[preset])
+    assert (len(calls), len(shared_state_calls)) == (applies, built)
 
 
 def _count_splits(monkeypatch):
@@ -306,7 +322,7 @@ def test_mixed_state_splits_its_shared_state_once(monkeypatch):
     assert calls == [(4, "POVM")]
 
 
-def test_general_n_splits_once_per_source_size_and_route(monkeypatch):
+def test_general_n_splits_once_per_source_size_and_route(shared_state_calls, monkeypatch):
     # the ket for the sharp projection, its density for the partial polarizer
     calls = _count_splits(monkeypatch)
     config = PRESETS["eq10_general_n"]
@@ -316,6 +332,12 @@ def test_general_n_splits_once_per_source_size_and_route(monkeypatch):
     assert sorted(calls) == sorted(
         (2 * n, what) for n in sizes for what in ("projector", "POVM")
     )
+    # a warm run builds no shared state; the memoized ket keeps its
+    # projector splits, and only the run's fresh densities are split
+    del calls[:], shared_state_calls[:]
+    scenarios.run_scenario(config)
+    assert shared_state_calls == []
+    assert sorted(calls) == sorted((2 * n, "POVM") for n in sizes)
 
 
 def test_purity_and_fidelity_reject_a_target_of_another_photon_number():
@@ -468,6 +490,28 @@ def test_fringe_scan_rejects_a_bob_state_with_an_even_photon_number():
     even = to_density(make_fock([(BOB_H, 2), (BOB_V, 2)]))
     with pytest.raises(ModeMismatchError):
         fringe_scan(even, "phase_phi", np.linspace(0.0, 2 * math.pi, 24))
+
+
+def test_fringe_scan_rejects_a_state_off_bobs_modes():
+    # the shared state holds 2n photons on Alice's and Bob's modes
+    shared = to_density(shared_state(2)[1])
+    with pytest.raises(ModeMismatchError, match="Bob's H and V modes"):
+        fringe_scan(shared, "phase_phi", np.linspace(0.0, 2 * math.pi, 24))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_fringe_scan_matches_the_analyzer_ket_route_bit_for_bit(n):
+    # each point's probability is expectation(rho, bob_measurement_ket(...))
+    _, rho = rsp_mixed(shared_state(n)[1], alice_projector(0.3, 1.1), 0.7)
+    grid = np.linspace(-1.0, 7.0, 33)
+    for axis in ("phase_phi", "angle_delta"):
+        scan = fringe_scan(rho, axis, grid)
+        kets = [
+            protocol.bob_measurement_ket(n, math.pi / 8, phi=float(x)) if axis == "phase_phi"
+            else protocol.bob_measurement_ket(n, float(x), phi=0.0)
+            for x in grid
+        ]
+        assert scan.probabilities == tuple(expectation(rho, ket) for ket in kets)
 
 
 def test_correlation_rejects_outcome_kets_built_for_another_n():

@@ -7,6 +7,7 @@ import pytest
 
 import rsp_sim.cli as cli
 from rsp_sim import GridSpec, PRESETS, ScenarioConfig, ZeroProbabilityError, list_presets
+from rsp_sim import scenarios
 from rsp_sim.config import EXPERIMENTS
 
 EXPECTED_PRESETS = [
@@ -288,6 +289,19 @@ def test_every_preset_is_deterministic_and_fast(tmp_path):
             assert time.perf_counter() - start < 5.0
             assert cli.main(["preset", name, "--out", str(b), "--format", fmt]) == 0
             assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("name", EXPECTED_PRESETS)
+def test_preset_bytes_do_not_depend_on_the_shared_state_memo(name, tmp_path):
+    # the first run heralds its source sizes, the second reuses them
+    for fmt in ("json", "csv"):
+        scenarios._shared_state.cache_clear()
+        cold, warm = tmp_path / f"cold.{fmt}", tmp_path / f"warm.{fmt}"
+        assert cli.main(["preset", name, "--out", str(cold), "--format", fmt]) == 0
+        misses = scenarios._shared_state.cache_info().misses
+        assert cli.main(["preset", name, "--out", str(warm), "--format", fmt]) == 0
+        assert scenarios._shared_state.cache_info().misses == misses
+        assert cold.read_bytes() == warm.read_bytes()
 
 
 GOLDEN_HEADERS = {

@@ -229,6 +229,44 @@ def test_number_keys_reject_bools_and_non_numbers(key, value):
         config_from_mapping({"experiment": "chsh", key: value})
 
 
+def test_number_keys_reject_an_int_past_float_range():
+    # float() of such an int raises OverflowError, which is not a ValueError
+    with pytest.raises(SchemaError, match="p_strength must be a number"):
+        config_from_mapping({"experiment": "chsh", "p_strength": 10**400})
+
+
+_NON_FINITE_FIELDS = {
+    "nan-gamma": {"gamma": math.nan},
+    "inf-theta": {"theta": math.inf},
+    "string-gamma": {"gamma": "pi/8"},
+    "bool-p_strength": {"p_strength": True},
+    "string-p_strength": {"p_strength": "x"},
+    "none-distinguishability": {"distinguishability": None},
+    "huge-int-theta": {"theta": 10**400},
+    "nan-grid_start": {"grid": GridSpec(math.nan, 1.0, 3)},
+    "inf-grid_stop": {"grid": GridSpec(0.0, -math.inf, 3)},
+    "bool-grid_stop": {"grid": GridSpec(0.0, True, 3)},
+}
+
+
+@pytest.mark.parametrize("fields", _NON_FINITE_FIELDS.values(), ids=list(_NON_FINITE_FIELDS))
+def test_construction_rejects_non_finite_and_non_number_floats(fields):
+    # each of these used to construct, then failed mid-run or ran on a coerced value
+    base = ScenarioConfig(experiment="mixed_state", grid=GridSpec(0.0, 1.0, 3))
+    with pytest.raises(SchemaError, match="must be a finite number"):
+        ScenarioConfig(**{**vars(base), **fields})
+    with pytest.raises(SchemaError, match="must be a finite number"):
+        replace(base, **fields)
+
+
+def test_construction_accepts_int_and_float_numbers():
+    config = ScenarioConfig(
+        experiment="phase_fringe", gamma=0, theta=np.float64(1.5), p_strength=1,
+        distinguishability=0.5, grid=GridSpec(0, 6, 3),
+    )
+    assert (config.gamma, config.theta, config.p_strength) == (0, 1.5, 1)
+
+
 def test_integer_keys_accept_integral_numbers_and_strings():
     config = config_from_mapping(
         {"experiment": "general_n", "grid_start": 1, "grid_stop": 2,

@@ -259,6 +259,18 @@ def test_unchecked_constructors_match_the_checked_ones():
     assert rho.entry((2, 0), (1, 1)) == same.entry((2, 0), (1, 1))
 
 
+@pytest.mark.parametrize(
+    "amp", [math.nan, math.inf, complex(0.0, -math.inf), complex(math.nan, 1.0)],
+    ids=["nan", "inf", "minus-inf-imag", "nan-real"],
+)
+def test_a_non_finite_amplitude_raises_instead_of_pruning(amp):
+    # a NaN used to compare below AMP_PRUNE and vanish like a zero
+    amps = {(2, 0): 0.6, (1, 1): amp}
+    for build in (FockState, FockState._unchecked):
+        with pytest.raises(ValueError, match="not finite"):
+            build((ALICE_H, ALICE_V), amps)
+
+
 def test_expectation_rejects_a_ket_of_another_photon_number():
     rho = to_density(make_fock([(BOB_H, 2), (BOB_V, 1)]))
     with pytest.raises(ModeMismatchError, match="5 photons"):

@@ -339,3 +339,12 @@ def test_bob_measurement_ket_rejects_fewer_than_one_pair(n):
         bob_measurement_ket(n, 0.1, 0.2)
     with pytest.raises(ValueError):
         bob_measurement_ket_by_superposition(n, 0.1, 0.2)
+
+
+@pytest.mark.parametrize(
+    "delta, phi", [(0.1, math.inf), (math.nan, 0.0)], ids=["inf-phase", "nan-angle"],
+)
+def test_bob_measurement_ket_rejects_a_non_finite_setting(delta, phi):
+    # e^{i inf} is NaN: it used to be pruned, leaving {(2, 1): 1}
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+        bob_measurement_ket(2, delta, phi)
