@@ -22,7 +22,6 @@ from .fock import (
     inner_product,
     make_fock,
     operator_distance,
-    superpose,
     tensor,
     to_density,
     without_modes,

@@ -211,8 +211,8 @@ def white_noise_shared_state(shared: FockState, p: float) -> DensityOperator:
 class FringeScan:
     """One interference scan plus its sinusoid fit.
 
-    ``fitted_offset`` is None when the data are flat (degenerate fit);
-    ``counts``/``estimated`` are filled only for sampled scans.
+    ``fitted_offset`` is None, and ``fitted_visibility`` 0, when the data are
+    flat (degenerate fit); ``counts``/``estimated`` only for sampled scans.
     """
 
     axis: str
@@ -249,6 +249,15 @@ def fit_fringe(
     return mean, amplitude, math.atan2(c, b)
 
 
+def _fitted_visibility(grid, values, frequency: float) -> tuple[float, float | None]:
+    """``fit_fringe``'s visibility R / a and offset psi; a degenerate fit (no
+    offset) or a mean at or below ``FIT_FLOOR`` has visibility 0."""
+    mean, amplitude, offset = fit_fringe(grid, values, frequency)
+    if offset is None or mean <= FIT_FLOOR:
+        return 0.0, offset
+    return amplitude / mean, offset
+
+
 def fringe_scan(rho: DensityOperator, axis: str, grid: Sequence[float]) -> FringeScan:
     """Scan the projection probability of Bob's state ``rho`` on his 2n-1
     photons along a phase or analyzer-angle grid; a state that does not hold
@@ -276,8 +285,7 @@ def fringe_scan(rho: DensityOperator, axis: str, grid: Sequence[float]) -> Fring
             amps = protocol._two_branch_amplitudes(n, float(x), 0.0)
         probs.append(_expectation(rho, amps))
     frequency = 1.0 if axis == "phase_phi" else 4.0
-    mean, amplitude, offset = fit_fringe(grid, probs, frequency)
-    visibility = 0.0 if mean <= FIT_FLOOR else amplitude / mean
+    visibility, offset = _fitted_visibility(grid, probs, frequency)
     return FringeScan(
         axis=axis,
         grid=tuple(float(x) for x in grid),
@@ -353,8 +361,7 @@ def sample_fringe_scan(scan: FringeScan, shots: int, seed) -> FringeScan:
         for p in scan.probabilities
     ]
     estimated = [c / shots for c in counts]
-    mean, amplitude, offset = fit_fringe(scan.grid, estimated, scan.frequency)
-    visibility = 0.0 if mean <= FIT_FLOOR else amplitude / mean
+    visibility, offset = _fitted_visibility(scan.grid, estimated, scan.frequency)
     return replace(
         scan,
         fitted_visibility=visibility,

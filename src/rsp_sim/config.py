@@ -121,8 +121,7 @@ class GridSpec:
     points: int
 
     def values(self) -> list[float]:
-        if self.points == 1:
-            return [float(self.start)]
+        """Evenly spaced from start to stop; ``ScenarioConfig`` admits 2 points or more."""
         step = (self.stop - self.start) / (self.points - 1)
         return [self.start + i * step for i in range(self.points)]
 

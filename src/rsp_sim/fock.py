@@ -192,9 +192,6 @@ class FockState:
     def norm(self) -> float:
         return _norm(self.amps)
 
-    def normalized(self) -> "FockState":
-        return FockState._of_pruned(self.modes, _normalized(self.amps))
-
     def items(self):
         return sorted(self.amps.items())
 
@@ -222,23 +219,6 @@ def make_fock(occupations: Iterable[tuple[Mode, int]]) -> FockState:
     if sum(occ) < 1:
         raise ValueError("at least one photon required")
     return FockState(tuple(m for m, _ in pairs), {occ: 1.0 + 0j})
-
-
-def superpose(terms: Iterable[tuple[complex, FockState]]) -> FockState:
-    """Linear combination of states, aligned on the union of their modes.
-
-    The result is not renormalized; call ``.normalized()`` if needed.
-    """
-    terms = list(terms)
-    if not terms:
-        raise ValueError("superpose needs at least one term")
-    all_modes = tuple(sorted({m for _, s in terms for m in s.modes}))
-    amps: dict[tuple[int, ...], complex] = {}
-    for coeff, state in terms:
-        embedded = extend_modes(state, all_modes)
-        for occ, amp in embedded.items():
-            amps[occ] = amps.get(occ, 0j) + complex(coeff) * amp
-    return FockState(all_modes, amps)
 
 
 def _relabel(state: FockState, target: tuple[Mode, ...]) -> list[tuple[tuple[int, ...], complex]]:

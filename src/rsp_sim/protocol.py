@@ -17,8 +17,8 @@ Each stage takes the value the previous one returned. ``shared_state(n)``
 depends only on the source size, so a caller builds it once per n and
 passes it to ``rsp_pure`` or ``rsp_mixed`` for every setting of Alice's
 instrument. ``shared_state`` computes the split and herald on every call;
-the scenario runners keep its result per n for the life of the process
-(``scenarios._shared_state``). Alice's setting is
+the scenario runners keep its result, and the ket's density, per n for the
+life of the process (``scenarios._shared_state``). Alice's setting is
 ``alice_projector(gamma, theta)``, built once per (gamma, theta) and reused
 for every p; ``distinguishability_demo`` takes the ket ``rsp_pure`` made.
 """
@@ -183,8 +183,9 @@ def rsp_mixed(
 ) -> tuple[float, DensityOperator]:
     """Remote preparation through the partial polarizer of strength p.
 
-    ``phi`` is Alice's projector as in ``rsp_pure``; a caller that scans p
-    passes ``to_density(shared)``, so the ket is promoted once.
+    ``phi`` is Alice's projector as in ``rsp_pure``. A caller that scans p
+    passes ``to_density(shared)``, so that the ket is promoted and split
+    once; the scenario runners pass the density their per-n memo holds.
     Returns the outcome probability and Bob's state. At p = 1 this is
     rsp_pure's state; at p = 0 Bob is left maximally mixed on his two-branch
     basis.

@@ -3,12 +3,12 @@
 Each experiment's runner returns a list of per-point dicts (one per grid
 value, correlation setting, or state component) and a summary dict. Every
 point of a run has the same keys in the same order, and that order is the
-CSV column order. The heralded shared state depends only on the source size
-n, so ``_shared_state(n)`` memoizes ``protocol.shared_state(n)`` for the life
-of the process: the first run at an n computes it, and every later run at
-that n, in any experiment, reuses the same herald probability and ket.
-``protocol.shared_state`` itself still computes on every call. A runner
-builds Alice's projector once for each (gamma, theta).
+CSV column order. Everything that depends only on the source size n is built
+once per process: ``_shared_state(n)`` memoizes ``protocol.shared_state(n)``
+and the ket's density, ``_outcome_kets(n)`` memoizes
+``analysis.outcome_kets(n)``, and every later run at that n, in any
+experiment, reuses them and the measurement splits cached on the ket and the
+density. A runner builds Alice's projector once for each (gamma, theta).
 """
 
 from __future__ import annotations
@@ -22,18 +22,26 @@ import numpy as np
 
 from . import __version__, analysis, protocol
 from .config import ScenarioConfig
-from .fock import FockState, inner_product, occupation_label, operator_distance, to_density
+from .fock import (
+    DensityOperator, FockState, inner_product, occupation_label, operator_distance, to_density,
+)
 
 
 @functools.cache
-def _shared_state(n: int) -> tuple[float, FockState]:
-    """``protocol.shared_state(n)``, computed once per source size n.
+def _shared_state(n: int) -> tuple[float, FockState, DensityOperator]:
+    """``protocol.shared_state(n)`` and its ket's ``to_density``, once per n.
 
     Keys are validated ``n_pairs`` and ``general_n`` sizes, so the memo holds
-    at most ``MAX_N_PAIRS`` entries. The ket is shared by every later run and
-    is never mutated; only its measurement splits are cached on it.
+    at most ``MAX_N_PAIRS`` entries. The ket and the density are shared by
+    every later run and never mutated; only the splits that ``project`` and
+    ``condition_on_povm`` make are cached on them.
     """
-    return protocol.shared_state(n)
+    probability, ket = protocol.shared_state(n)
+    return probability, ket, to_density(ket)
+
+
+# each CHSH kind's outcome kets depend only on n; the dict is read, never written
+_outcome_kets = functools.cache(analysis.outcome_kets)
 
 
 def _scenario_echo(config: ScenarioConfig) -> dict:
@@ -61,10 +69,10 @@ def run_scenario(config: ScenarioConfig) -> dict:
 
 
 def _run_chsh(config: ScenarioConfig):
-    _, shared = _shared_state(config.n_pairs)
+    _, shared, _ = _shared_state(config.n_pairs)
     state = analysis.white_noise_shared_state(shared, config.p_strength)
     rng = np.random.default_rng(config.seed) if config.shots else None
-    kets = analysis.outcome_kets(config.n_pairs)
+    kets = _outcome_kets(config.n_pairs)
     points = []
     for s_kind, t_kind in analysis.CHSH_SETTINGS:
         value, table = analysis.correlation(state, s_kind, t_kind, kets)
@@ -94,9 +102,9 @@ def _run_chsh(config: ScenarioConfig):
 
 
 def _run_fringe(config: ScenarioConfig, axis: str, knob: str):
-    _, shared = _shared_state(config.n_pairs)
+    _, _, density = _shared_state(config.n_pairs)
     phi = protocol.alice_projector(config.gamma, config.theta)
-    _, rho = protocol.rsp_mixed(shared, phi, config.p_strength)
+    _, rho = protocol.rsp_mixed(density, phi, config.p_strength)
     scan = analysis.fringe_scan(rho, axis, config.grid.values())
     sampled = None
     if config.shots:
@@ -129,11 +137,11 @@ def _run_fringe(config: ScenarioConfig, axis: str, knob: str):
 def _run_mixed_state(config: ScenarioConfig):
     n, gamma, theta = config.n_pairs, config.gamma, config.theta
     target = protocol.closed_form_bob_ket(n, gamma, theta)
-    shared = to_density(_shared_state(n)[1])
+    _, _, density = _shared_state(n)
     phi = protocol.alice_projector(gamma, theta)
     points = []
     for p in config.grid.values():
-        _, rho = protocol.rsp_mixed(shared, phi, p)
+        _, rho = protocol.rsp_mixed(density, phi, p)
         purity, fidelity = analysis.purity_and_fidelity(rho, target)
         entry_error = operator_distance(rho, protocol.closed_form_bob_density(target, p))
         points.append(
@@ -152,9 +160,9 @@ def _run_mixed_state(config: ScenarioConfig):
 
 
 def _run_populations(config: ScenarioConfig):
-    _, shared = _shared_state(config.n_pairs)
+    _, _, density = _shared_state(config.n_pairs)
     phi = protocol.alice_projector(config.gamma, config.theta)
-    _, rho = protocol.rsp_mixed(shared, phi, config.p_strength)
+    _, rho = protocol.rsp_mixed(density, phi, config.p_strength)
     populations = analysis.component_populations(rho)
     total_photons = 2 * protocol.heralded_n(rho) - 1
     modes = rho.modes
@@ -175,17 +183,16 @@ def _run_populations(config: ScenarioConfig):
 def _run_general_n(config: ScenarioConfig):
     rng = np.random.default_rng(config.seed)
     sizes = [int(round(value)) for value in config.grid.values()]
-    density = {n: to_density(_shared_state(n)[1]) for n in set(sizes)}
     points = []
     for n in sizes:
-        _, shared = _shared_state(n)
+        _, shared, density = _shared_state(n)
         for trial in range(config.trials):
             gamma = float(rng.uniform(0.0, math.pi / 4))
             theta = float(rng.uniform(0.0, 2 * math.pi))
             p = float(rng.uniform(0.0, 1.0))
             phi = protocol.alice_projector(gamma, theta)
             _, bob = protocol.rsp_pure(shared, phi)
-            _, rho = protocol.rsp_mixed(density[n], phi, p)
+            _, rho = protocol.rsp_mixed(density, phi, p)
             target = protocol.closed_form_bob_ket(n, gamma, theta)
             points.append(
                 {
@@ -208,7 +215,7 @@ def _run_general_n(config: ScenarioConfig):
 
 
 def _run_distinguishability(config: ScenarioConfig):
-    _, shared = _shared_state(config.n_pairs)
+    _, shared, _ = _shared_state(config.n_pairs)
     _, bob = protocol.rsp_pure(shared, protocol.alice_projector(config.gamma, config.theta))
     mixed = protocol.distinguishability_demo(bob, config.distinguishability)
     populations = analysis.component_populations(mixed)

@@ -16,9 +16,9 @@ from rsp_sim import (
     SOURCE_H,
     SOURCE_V,
     make_fock,
-    superpose,
     tensor,
 )
+from oracles import normalized, superpose
 
 ALL_MODES = (SOURCE_H, SOURCE_V, ALICE_H, ALICE_V, BOB_H, BOB_V)
 
@@ -42,7 +42,7 @@ def random_state(rng: np.random.Generator, modes: tuple[Mode, ...], photons: int
     amps = {}
     for occ in weak_compositions(photons, len(modes)):
         amps[occ] = complex(rng.normal(), rng.normal())
-    return FockState(modes, amps).normalized()
+    return normalized(FockState(modes, amps))
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

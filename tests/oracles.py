@@ -8,13 +8,16 @@ between the two is a genuine cross-check. Alice's instrument ket and Bob's
 analysis ket are also built here through the checked public constructors:
 Alice's by evolving |1_H> through a half-wave plate and a phase shifter with
 ``apply``, Bob's by superposing two ``make_fock`` kets. These are the routes
-the library's direct two-branch build must match bit for bit.
+the library's direct two-branch build must match bit for bit. ``superpose``
+and ``normalized`` live here because only tests combine and renormalize
+kets; the pipeline builds each of its kets directly.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Iterable
 
 import numpy as np
 
@@ -28,8 +31,30 @@ from rsp_sim import (
     apply,
     extend_modes,
     make_fock,
-    superpose,
 )
+
+
+def superpose(terms: Iterable[tuple[complex, FockState]]) -> FockState:
+    """Linear combination of states, aligned on the union of their modes,
+    through the checked ``FockState`` constructor. The result is not
+    renormalized; pass it to ``normalized`` if needed."""
+    terms = list(terms)
+    if not terms:
+        raise ValueError("superpose needs at least one term")
+    all_modes = tuple(sorted({m for _, s in terms for m in s.modes}))
+    amps: dict[tuple[int, ...], complex] = {}
+    for coeff, state in terms:
+        embedded = extend_modes(state, all_modes)
+        for occ, amp in embedded.items():
+            amps[occ] = amps.get(occ, 0j) + complex(coeff) * amp
+    return FockState(all_modes, amps)
+
+
+def normalized(state: FockState) -> FockState:
+    """``state`` divided by its norm, through the checked constructor."""
+    norm = state.norm()
+    return FockState(state.modes, {occ: a / norm for occ, a in state.amps.items()})
+
 
 # 6-mode splitter written out by hand in canonical mode order
 # (S_H, S_V, A_H, A_V, B_H, B_V); column j is the image of mode j.
@@ -121,7 +146,7 @@ def bob_measurement_ket_by_superposition(n: int, delta: float, phi: float = 0.0)
     lo = make_fock([(BOB_H, n - 1), (BOB_V, n)])
     c = math.cos(2.0 * delta)
     s = math.sin(2.0 * delta)
-    return superpose([(c, hi), (s * np.exp(1j * phi), lo)]).normalized()
+    return normalized(superpose([(c, hi), (s * np.exp(1j * phi), lo)]))
 
 
 def wave_plate(gamma: float) -> ModeUnitary:
@@ -145,4 +170,4 @@ def alice_measurement_ket_by_elements(gamma: float, theta: float = 0.0) -> FockS
     ket = apply(wave_plate(gamma), ket)
     if theta != 0.0:
         ket = apply(phase_shift(theta), ket)
-    return ket.normalized()
+    return normalized(ket)

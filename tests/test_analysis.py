@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -202,8 +203,27 @@ def test_chsh_scenario_builds_one_count_table_per_setting(monkeypatch):
     )
 
 
+def _recorded(monkeypatch, module, name):
+    """The argument tuple of every call made to ``module.name`` from now on."""
+    calls = []
+    original = getattr(module, name)
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def _clear_memos():
+    # both per-n memos of scenarios, so that the next run is a cold one
+    scenarios._shared_state.cache_clear()
+    scenarios._outcome_kets.cache_clear()
+
+
 @pytest.mark.parametrize(
-    "config,kets",
+    "config,kets,warm_kets",
     [
         (
             ScenarioConfig(
@@ -211,26 +231,24 @@ def test_chsh_scenario_builds_one_count_table_per_setting(monkeypatch):
                 grid=GridSpec(0.0, 1.0, 41), seed=1,
             ),
             1,
+            1,
         ),
-        (PRESETS["eq10_general_n"], 48),
-        (PRESETS["table1_chsh"], 4),
+        (PRESETS["eq10_general_n"], 48, 48),
+        (PRESETS["table1_chsh"], 4, 0),
     ],
     ids=["mixed_state-41-points", "eq10_general_n", "table1_chsh"],
 )
-def test_runners_build_each_alice_setting_once(config, kets, monkeypatch):
+def test_runners_build_each_alice_setting_once(config, kets, warm_kets, monkeypatch):
     # once per run for a p sweep, once per (gamma, theta) trial, and once
-    # per CHSH outcome of Alice's two kinds
-    calls = []
-    original = protocol.alice_measurement_ket
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(protocol, "alice_measurement_ket", counting)
+    # per CHSH outcome of Alice's two kinds, which a warm run reuses
+    _clear_memos()
+    calls = _recorded(monkeypatch, protocol, "alice_measurement_ket")
     scenarios.run_scenario(config)
     assert len(calls) == kets
     assert len(set(calls)) == kets
+    del calls[:]
+    scenarios.run_scenario(config)
+    assert len(calls) == warm_kets
 
 
 RUNNER_CONFIGS = {
@@ -248,9 +266,9 @@ RUNNER_CONFIGS = {
 
 @pytest.fixture
 def shared_state_calls(monkeypatch):
-    """Each n that ``protocol.shared_state`` is called with, counted from a
-    cold scenario memo."""
-    scenarios._shared_state.cache_clear()
+    """Each n that ``protocol.shared_state`` is called with, counted from
+    cold scenario memos."""
+    _clear_memos()
     calls = []
     original = protocol.shared_state
 
@@ -312,13 +330,16 @@ def _count_splits(monkeypatch):
 
 
 def test_mixed_state_splits_its_shared_state_once(monkeypatch):
+    _clear_memos()
     calls = _count_splits(monkeypatch)
-    scenarios.run_scenario(
-        ScenarioConfig(
-            experiment="mixed_state", gamma=0.3, theta=1.1,
-            grid=GridSpec(0.0, 1.0, 41), seed=1,
-        )
+    config = ScenarioConfig(
+        experiment="mixed_state", gamma=0.3, theta=1.1,
+        grid=GridSpec(0.0, 1.0, 41), seed=1,
     )
+    scenarios.run_scenario(config)
+    assert calls == [(4, "POVM")]
+    # the memoized density keeps its split
+    scenarios.run_scenario(config)
     assert calls == [(4, "POVM")]
 
 
@@ -332,12 +353,41 @@ def test_general_n_splits_once_per_source_size_and_route(shared_state_calls, mon
     assert sorted(calls) == sorted(
         (2 * n, what) for n in sizes for what in ("projector", "POVM")
     )
-    # a warm run builds no shared state; the memoized ket keeps its
-    # projector splits, and only the run's fresh densities are split
+    # a warm run builds no shared state, and the memoized ket and density
+    # keep their splits
     del calls[:], shared_state_calls[:]
     scenarios.run_scenario(config)
     assert shared_state_calls == []
-    assert sorted(calls) == sorted((2 * n, "POVM") for n in sizes)
+    assert calls == []
+
+
+# (splits, promotions to a density, Alice outcome kets) of a cold run; every
+# other preset splits and promotes its one shared state once
+COLD_WORK = {"eq10_general_n": (8, 4, 0), "table1_chsh": (0, 1, 4)}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_a_warm_preset_run_repeats_no_work_that_depends_only_on_n(name, monkeypatch):
+    _clear_memos()
+    splits = _count_splits(monkeypatch)
+    promotions = [
+        _recorded(monkeypatch, module, "to_density")
+        for module in (scenarios, measurement, analysis)
+    ]
+    projectors = _recorded(monkeypatch, protocol, "alice_projector")
+    alice_kets = _recorded(monkeypatch, protocol, "alice_measurement_ket")
+
+    def work():
+        # alice_projector builds one ket; the rest are CHSH outcome kets
+        counts = (len(splits), sum(map(len, promotions)), len(alice_kets) - len(projectors))
+        for calls in (splits, *promotions, projectors, alice_kets):
+            del calls[:]
+        return counts
+
+    scenarios.run_scenario(PRESETS[name])
+    assert work() == COLD_WORK.get(name, (1, 1, 0))
+    scenarios.run_scenario(PRESETS[name])
+    assert work() == (0, 0, 0)
 
 
 def test_purity_and_fidelity_reject_a_target_of_another_photon_number():
@@ -346,6 +396,19 @@ def test_purity_and_fidelity_reject_a_target_of_another_photon_number():
         purity_and_fidelity(rho, closed_form_bob_ket(3, math.pi / 8, 0.0))
     purity, fidelity = purity_and_fidelity(rho, closed_form_bob_ket(2, math.pi / 8, 0.0))
     assert abs(fidelity - 0.95) < 1e-12
+
+
+@pytest.mark.parametrize("axis, stop", [("phase_phi", 2 * math.pi), ("angle_delta", math.pi / 2)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_degenerate_fringe_fit_has_visibility_zero(n, axis, stop):
+    # at p = 0 Bob is maximally mixed and every point reads 1/2: the fit has
+    # no offset, and its visibility is 0, not the fit's residue over the mean
+    rho = rsp_mixed(shared_state(n)[1], alice_projector(math.pi / 8, 0.3), 0.0)[1]
+    scan = fringe_scan(rho, axis, np.linspace(0.0, stop, 24))
+    assert (scan.fitted_offset, scan.fitted_visibility) == (None, 0.0)
+    # every shot of a certain outcome clicks, so the sampled fringe is flat too
+    flat = sample_fringe_scan(replace(scan, probabilities=(1.0,) * 24), 100, seed=n)
+    assert (flat.fitted_offset, flat.fitted_visibility) == (None, 0.0)
 
 
 def test_phase_fringe_zero_offset():

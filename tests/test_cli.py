@@ -296,6 +296,7 @@ def test_preset_bytes_do_not_depend_on_the_shared_state_memo(name, tmp_path):
     # the first run heralds its source sizes, the second reuses them
     for fmt in ("json", "csv"):
         scenarios._shared_state.cache_clear()
+        scenarios._outcome_kets.cache_clear()
         cold, warm = tmp_path / f"cold.{fmt}", tmp_path / f"warm.{fmt}"
         assert cli.main(["preset", name, "--out", str(cold), "--format", fmt]) == 0
         misses = scenarios._shared_state.cache_info().misses

@@ -18,12 +18,18 @@ from rsp_sim import (
     extend_modes,
     inner_product,
     make_fock,
-    superpose,
 )
 from rsp_sim.fock import NORM_TOL
 from rsp_sim.protocol import alice_measurement_ket, bob_measurement_ket, splitting_unitary
 from helpers import ALL_MODES, random_state, random_unitary, state_distance
-from oracles import SPLITTER_MATRIX, output_distribution, phase_shift, wave_plate
+from oracles import (
+    SPLITTER_MATRIX,
+    normalized,
+    output_distribution,
+    phase_shift,
+    superpose,
+    wave_plate,
+)
 
 RNG = np.random.default_rng(7081525)
 
@@ -167,5 +173,5 @@ def test_apply_and_normalized_return_plain_complex_amplitudes():
     ket = extend_modes(make_fock([(ALICE_H, 1)]), (ALICE_H, ALICE_V))
     out = apply(phase_shift(0.7), apply(wave_plate(0.3), ket))
     assert out.amps and all(type(a) is complex for a in out.amps.values())
-    scaled = superpose([(3.0, out)]).normalized()
+    scaled = normalized(superpose([(3.0, out)]))
     assert all(type(a) is complex for a in scaled.amps.values())

@@ -19,11 +19,11 @@ from rsp_sim import (
     expectation,
     inner_product,
     make_fock,
-    superpose,
     tensor,
     to_density,
 )
 from helpers import ALL_MODES, random_state, reference_shared_ket
+from oracles import normalized, superpose
 
 RNG = np.random.default_rng(20240811)
 
@@ -223,7 +223,7 @@ def test_partial_trace_random_states_stay_physical():
 def test_operations_preserve_photon_number():
     state = random_state(RNG, (ALICE_H, ALICE_V, BOB_H, BOB_V), 4)
     assert state.total_photons == 4
-    assert state.normalized().total_photons == 4
+    assert normalized(state).total_photons == 4
     assert all(sum(occ) == 4 for occ in to_density(state).basis)
 
 

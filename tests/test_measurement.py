@@ -26,7 +26,6 @@ from rsp_sim import (
     operator_distance,
     partial_polarizer_povm,
     project,
-    superpose,
     tensor,
     to_density,
 )
@@ -37,7 +36,7 @@ from rsp_sim.protocol import (
     splitting_unitary,
 )
 from helpers import ALL_MODES, random_state, reference_shared_ket
-from oracles import weak_compositions
+from oracles import normalized, superpose, weak_compositions
 
 RNG = np.random.default_rng(91525)
 
@@ -122,11 +121,11 @@ def test_project_h_outcome_reads_off_other_branch():
 def test_project_orthogonal_state_has_zero_probability():
     gamma, theta = 0.3, 1.1
     phi = alice_measurement_ket(gamma, theta)
-    phi_perp = superpose([
+    phi_perp = normalized(superpose([
         (-np.exp(-1j * theta) * math.sin(2 * gamma),
          make_fock([(ALICE_H, 1), (ALICE_V, 0)])),
         (math.cos(2 * gamma), make_fock([(ALICE_H, 0), (ALICE_V, 1)])),
-    ]).normalized()
+    ]))
     assert abs(inner_product(phi, phi_perp)) < 1e-12
     joint = tensor(phi, make_fock([(BOB_H, 2), (BOB_V, 1)]))
     with pytest.raises(ZeroProbabilityError):
@@ -139,11 +138,11 @@ def test_projection_outcomes_are_complete():
         gamma = float(RNG.uniform(0, math.pi / 4))
         theta = float(RNG.uniform(0, 2 * math.pi))
         phi = alice_measurement_ket(gamma, theta)
-        phi_perp = superpose([
+        phi_perp = normalized(superpose([
             (-np.exp(-1j * theta) * math.sin(2 * gamma),
              make_fock([(ALICE_H, 1), (ALICE_V, 0)])),
             (math.cos(2 * gamma), make_fock([(ALICE_H, 0), (ALICE_V, 1)])),
-        ]).normalized()
+        ]))
         p1, _ = project(shared, Projector(phi))
         p2, _ = project(shared, Projector(phi_perp))
         assert abs(p1 + p2 - 1.0) < 1e-12

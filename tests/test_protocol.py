@@ -26,7 +26,6 @@ from rsp_sim import (
     rsp_mixed,
     rsp_pure,
     shared_state,
-    superpose,
     to_density,
 )
 from rsp_sim.protocol import alice_measurement_ket
@@ -35,6 +34,7 @@ from oracles import (
     alice_measurement_ket_by_elements,
     bob_measurement_ket_by_superposition,
     splitter_herald_amplitudes,
+    superpose,
 )
 
 RNG = np.random.default_rng(31415)
